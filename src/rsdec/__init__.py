@@ -44,7 +44,6 @@ from .outcome import DecodeOutcome
 from .poly import NEG_INF, UniPoly, lagrange_interpolate, locator_poly, poly_divrem
 from .virs import (
     StackedSolution,
-    VirsParams,
     block_widths,
     build_A,
     build_Mi,
@@ -70,7 +69,6 @@ __all__ = [
     "StackedSolution",
     "TrialRecord",
     "UniPoly",
-    "VirsParams",
     "WbSystem",
     "Word",
     "binom_mod",

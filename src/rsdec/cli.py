@@ -19,14 +19,13 @@ from .code import CodeSpec, Word, corrupt, random_error
 from .code import encode as rs_encode
 from .equiv import build_B, nullspace_equivalence, scaling_map
 from .field import Field
-from .gs import GsParams, gs_interpolate
-from .linalg import Mat, nullspace
+from .linalg import nullspace
 from .mgs import build_Bbar, mgs_decode
 from .montecarlo import ExperimentConfig, run_montecarlo
-from .outcome import DecodeOutcome, conclude
-from .poly import UniPoly, poly_divrem
+from .outcome import DecodeOutcome
+from .poly import UniPoly
 from .virs import block_widths, build_A, virs_decode, virs_radius
-from .wb import wb_build, wb_decode, wb_radius
+from .wb import wb_build, wb_decode
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +42,8 @@ def _read_lines(path: str) -> list[str]:
     return [line.strip() for line in raw if line.strip() and not line.lstrip().startswith("#")]
 
 
-def read_word_file(path: str) -> tuple[int, list[int]]:
+def read_word_file(path: str, k: int = 1) -> tuple[int, list[int]]:
+    """(q, residues) of a word file holding at least k residues in [0, q)."""
     lines = _read_lines(path)
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two data lines (q, then residues)")
@@ -52,6 +52,11 @@ def read_word_file(path: str) -> tuple[int, list[int]]:
         residues = [int(tok) for tok in lines[1].split()]
     except ValueError:
         raise ValueError(f"{path}: residues must be decimal integers") from None
+    for i, v in enumerate(residues):
+        if not 0 <= v < q:
+            raise ValueError(f"{path}: residue {v} at position {i} is outside [0, {q})")
+    if len(residues) < k:
+        raise ValueError(f"{path}: word of length {len(residues)} is too short for k = {k}")
     return q, residues
 
 
@@ -114,39 +119,20 @@ def _cmd_corrupt(args) -> int:
     return 0
 
 
-def _decode_gs(spec: CodeSpec, r: Word, tau: int) -> DecodeOutcome:
-    params = GsParams(spec.n, spec.k, ell=1, s=1, tau=tau)
-    Q = gs_interpolate(spec, r, params)
-    q1 = Q.component(1)
-    if q1.is_zero():
-        return DecodeOutcome.failure("no solution with nonzero locator component")
-    f, rem = poly_divrem(-Q.component(0), q1)
-    if not rem.is_zero():
-        return DecodeOutcome.failure("locator does not divide the message component")
-    return conclude(spec, r, tau, q1, f)
-
-
 def _cmd_decode(args) -> int:
-    q, residues = read_word_file(args.infile)
+    q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
     if args.method == "wb":
         outcome = wb_decode(spec, word)
     elif args.method == "virs":
         outcome = virs_decode(spec, word, args.s)
-    elif args.method == "mgs":
-        outcome = mgs_decode(spec, word, args.s)
     else:
-        if args.ell != 1:
-            raise ValueError("list sizes above 1 are not decodable here (no y-root search)")
-        if args.s != 1:
-            raise ValueError("multiplicity above 1 needs --method mgs")
-        tau = args.tau if args.tau is not None else wb_radius(spec.n, spec.k)
-        outcome = _decode_gs(spec, word, tau)
+        outcome = mgs_decode(spec, word, args.s)
     return _report(outcome)
 
 
 def _cmd_dump(args) -> int:
-    q, residues = read_word_file(args.infile)
+    q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
     if args.matrix == "wb":
         matrix = wb_build(spec, word).matrix
@@ -176,7 +162,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    q, residues = read_word_file(args.infile)
+    q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
     tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, args.s)
     A = build_A(spec, word, args.s, tau)
@@ -217,12 +203,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("decode", help="decode a received word")
-    p.add_argument("--method", choices=("wb", "virs", "mgs", "gs"), required=True)
+    p.add_argument("--method", choices=("wb", "virs", "mgs"), required=True)
     p.add_argument("--in", dest="infile", type=str, required=True)
     _add_code_flags(p)
     p.add_argument("--s", type=int, default=1, help="interleaving/multiplicity order")
-    p.add_argument("--ell", type=int, default=1, help="list size (gs only)")
-    p.add_argument("--tau", type=int, default=None, help="target radius (gs only)")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("dump", help="print a constraint matrix")

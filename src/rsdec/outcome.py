@@ -1,11 +1,18 @@
-"""Decoder result type shared by every decoding method."""
+"""Decoder result type and the pipeline stage shared by every decoder.
+
+A decoder builds its system and takes its kernel; `finish` does the
+rest. The decoders differ only in their block scalars c, with a
+decodable stack Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for
+mgs and D(1) for wb.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .code import CodeSpec, Word, corrupt, encode, weight
-from .poly import UniPoly
+from .field import Field, binom_mod
+from .poly import UniPoly, poly_divrem
 
 
 @dataclass(frozen=True)
@@ -16,13 +23,66 @@ class DecodeOutcome:
     corrected: Word | None = None
     error_positions: tuple[int, ...] = ()
     reason: str | None = None
+    kernel_dim: int | None = None
 
     @classmethod
-    def failure(cls, reason: str) -> "DecodeOutcome":
-        return cls(success=False, reason=reason)
+    def failure(cls, reason: str, kernel_dim: int | None = None) -> "DecodeOutcome":
+        return cls(success=False, reason=reason, kernel_dim=kernel_dim)
 
     def __bool__(self) -> bool:
         return self.success
+
+
+def scaling_scalars(s: int, q: int) -> tuple[int, ...]:
+    """Block-t scalar (-1)^(s-t) C(s, t) mod q of the map D(s), t = 0..s:
+    the y^t coefficient of Lambda (y - f)^s is D_t Lambda f^(s-t)."""
+    if s < 1:
+        raise ValueError("order must be positive")
+    return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
+
+
+def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...] | None:
+    """Blocks of the first kernel vector whose top block has the lowest
+    degree among the nonzero ones; None when every top block is zero."""
+    top = sum(widths[:-1])
+    best = best_deg = None
+    for vec in kernel:
+        deg = next((j for j in range(len(vec) - 1, top - 1, -1) if vec[j]), None)
+        if deg is not None and (best is None or deg < best_deg):
+            best, best_deg = vec, deg
+    if best is None:
+        return None
+    blocks = []
+    at = 0
+    for width in widths:
+        blocks.append(UniPoly.from_ints(field, best[at : at + width]))
+        at += width
+    return tuple(blocks)
+
+
+def finish(spec: CodeSpec, r: Word, tau: int, kernel, widths, scalars) -> DecodeOutcome:
+    """Select a vector of the int kernel basis, extract (Lambda, f), accept.
+
+    f = Q^(s-1) / (c_(s-1) Lambda) must divide exactly and every lower
+    block must equal c_t Lambda f^(s-t); a vector passing the division by
+    luck but breaking this shape is a spurious solution, not a decode.
+    """
+    dim = len(kernel)
+    if not kernel:
+        return DecodeOutcome.failure("interpolation system has no nonzero solution", dim)
+    stack = select_stack(spec.field, kernel, widths)
+    if stack is None:
+        return DecodeOutcome.failure("no solution with nonzero locator component", dim)
+    locator = stack[-1]
+    f, rem = poly_divrem(stack[-2], locator * scalars[-2])
+    if not rem.is_zero():
+        return DecodeOutcome.failure("locator does not divide the message component", dim)
+    term = locator * f
+    for t in range(len(stack) - 3, -1, -1):
+        term = term * f
+        if stack[t] != term * scalars[t]:
+            return DecodeOutcome.failure("solution stack is not a power progression", dim)
+    return replace(conclude(spec, r, tau, locator, f), kernel_dim=dim)
 
 
 def conclude(spec: CodeSpec, r: Word, tau: int, locator: UniPoly, f: UniPoly) -> DecodeOutcome:

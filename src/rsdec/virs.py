@@ -13,13 +13,13 @@ distance:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .code import CodeSpec, Word
 from .field import Field, FieldElement
-from .linalg import Mat, nullspace
-from .outcome import DecodeOutcome, conclude
-from .poly import UniPoly, poly_divrem
+from .linalg import Mat, _nullspace_ints
+from .outcome import DecodeOutcome, finish
+from .poly import UniPoly
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -39,31 +39,6 @@ def block_widths(k: int, s: int, tau: int) -> tuple[int, ...]:
     """Width of column block t = 0..s: component t holds Lambda f^(s-t),
     so its degree cap is tau + (s-t)(k-1)."""
     return tuple(tau + (s - t) * (k - 1) + 1 for t in range(s + 1))
-
-
-@dataclass(frozen=True)
-class VirsParams:
-    spec: CodeSpec
-    s: int
-    tau: int
-    Ni: tuple[int, ...] = dc_field(default=(), compare=False)
-    N: int = dc_field(default=0, compare=False)
-
-    def __post_init__(self):
-        n, k = self.spec.n, self.spec.k
-        if not feasible(n, k, self.s):
-            raise ValueError(f"order {self.s} infeasible for (n, k) = ({n}, {k})")
-        if self.tau < 0:
-            raise ValueError("radius must be nonnegative")
-        ni = tuple(self.tau + i * (k - 1) + 1 for i in range(self.s + 1))
-        total = sum(ni)
-        assert total == (self.s + 1) * (self.tau + 1) + (self.s * (self.s + 1) // 2) * (k - 1)
-        object.__setattr__(self, "Ni", ni)
-        object.__setattr__(self, "N", total)
-
-    @classmethod
-    def at_max_radius(cls, spec: CodeSpec, s: int) -> "VirsParams":
-        return cls(spec, s, virs_radius(spec.n, spec.k, s))
 
 
 @dataclass(frozen=True)
@@ -154,37 +129,8 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     return Mat(spec.field, rows)
 
 
-def _select_stack(field: Field, basis, widths) -> StackedSolution | None:
-    """Minimal top-component degree among basis vectors, first on ties."""
-    best = None
-    for vec in basis:
-        stack = StackedSolution.from_vector(field, vec, widths)
-        top = stack.components[-1]
-        if top.is_zero():
-            continue
-        if best is None or top.degree < best.components[-1].degree:
-            best = stack
-    return best
-
-
 def virs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     tau = virs_radius(spec.n, spec.k, s)
     matrix = build_A(spec, r, s, tau)
-    basis = nullspace(matrix)
-    if not basis:
-        return DecodeOutcome.failure("interpolation system has no nonzero solution")
-    widths = block_widths(spec.k, s, tau)
-    stack = _select_stack(spec.field, basis, widths)
-    if stack is None:
-        return DecodeOutcome.failure("no solution with nonzero locator component")
-    top = stack.components[-1]
-    f, rem = poly_divrem(stack.components[-2], top)
-    if not rem.is_zero():
-        return DecodeOutcome.failure("locator does not divide the message component")
-    # the full stack must be Lambda times consecutive powers of f; a
-    # vector passing the division by luck but breaking this shape is a
-    # spurious solution, not a decode
-    for t in range(s - 1):
-        if stack.components[t] != top * f ** (s - t):
-            return DecodeOutcome.failure("solution stack is not a power progression")
-    return conclude(spec, r, tau, top, f)
+    kernel = _nullspace_ints(matrix.rows, matrix.ncols, spec.field.q)
+    return finish(spec, r, tau, kernel, block_widths(spec.k, s, tau), (1,) * (s + 1))

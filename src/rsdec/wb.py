@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code import CodeSpec, Word
-from .linalg import Mat, nullspace
-from .outcome import DecodeOutcome, conclude
-from .poly import UniPoly, poly_divrem
+from .linalg import Mat, _nullspace_ints
+from .outcome import DecodeOutcome, finish, scaling_scalars
 
 
 def wb_radius(n: int, k: int) -> int:
@@ -31,12 +30,6 @@ class WbSystem:
     tau0: int
     width0: int
     width1: int
-
-    def split(self, vec) -> tuple[UniPoly, UniPoly]:
-        field = self.matrix.field
-        q0 = UniPoly(field, vec[: self.width0])
-        q1 = UniPoly(field, vec[self.width0 :])
-        return q0, q1
 
 
 def wb_build(spec: CodeSpec, r: Word) -> WbSystem:
@@ -58,20 +51,8 @@ def wb_build(spec: CodeSpec, r: Word) -> WbSystem:
 
 def wb_decode(spec: CodeSpec, r: Word) -> DecodeOutcome:
     system = wb_build(spec, r)
-    basis = nullspace(system.matrix)
-    if not basis:
-        return DecodeOutcome.failure("interpolation system has no nonzero solution")
-    best = None
-    for vec in basis:
-        q0, q1 = system.split(vec)
-        if q1.is_zero():
-            continue
-        if best is None or q1.degree < best[1].degree:
-            best = (q0, q1)
-    if best is None:
-        return DecodeOutcome.failure("no solution with nonzero locator component")
-    q0, q1 = best
-    f, rem = poly_divrem(-q0, q1)
-    if not rem.is_zero():
-        return DecodeOutcome.failure("locator does not divide the message component")
-    return conclude(spec, r, system.tau0, q1, f)
+    matrix = system.matrix
+    kernel = _nullspace_ints(matrix.rows, matrix.ncols, spec.field.q)
+    widths = (system.width0, system.width1)
+    # Q0 = -Lambda f: the s = 1 case of the power-factor stack
+    return finish(spec, r, system.tau0, kernel, widths, scaling_scalars(1, spec.field.q))

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gf17_example as ex
-from rsdec.cli import main
+from rsdec.cli import main, read_word_file
 
 
 def run(capsys, *argv):
@@ -59,10 +61,10 @@ def test_corrupt_random_weight(tmp_path, capsys):
     assert sum(1 for a, b in zip(received, ex.CODEWORD) if a != b) == 5
 
 
-@pytest.mark.parametrize("method,extra", [("wb", []), ("virs", ["--s", "2"]), ("mgs", ["--s", "2"]), ("gs", [])])
+@pytest.mark.parametrize("method,extra", [("wb", []), ("virs", ["--s", "2"]), ("mgs", ["--s", "2"])])
 def test_decode_methods_succeed(tmp_path, capsys, method, extra):
-    # wb and gs only reach half distance, so feed them a weight-6 word
-    if method in ("wb", "gs"):
+    # wb only reaches half distance, so feed it a weight-6 word
+    if method == "wb":
         from rsdec import Field, Word, corrupt, random_error
 
         F = Field(17)
@@ -87,15 +89,9 @@ def test_decode_failure_exit_code(tmp_path, capsys):
     assert stdout.startswith("failure:")
 
 
-def test_decode_gs_rejects_large_list(tmp_path, capsys):
-    path = write_received(tmp_path)
-    code, _, err = run(capsys, "decode", "--method", "gs", "--in", path, "--k", "4", "--alpha", "3", "--ell", "2")
-    assert code == 1
-    assert err
-
-
 def test_bad_invocations(tmp_path, capsys):
     assert run(capsys, "decode", "--method", "nope", "--in", "x", "--k", "4")[0] == 1
+    assert run(capsys, "decode", "--method", "gs", "--in", "x", "--k", "4")[0] == 1
     assert run(capsys, "decode", "--method", "wb", "--k", "4")[0] == 1
     assert run(capsys, "decode", "--method", "wb", "--in", str(tmp_path / "missing"), "--k", "4")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
@@ -116,6 +112,55 @@ def test_malformed_word_file(tmp_path, capsys):
     assert run(capsys, "decode", "--method", "wb", "--in", str(path), "--k", "2")[0] == 1
     path.write_text("18\n1 2 3\n")
     assert run(capsys, "decode", "--method", "wb", "--in", str(path), "--k", "2")[0] == 1
+
+
+# tmp_path is shared by the examples of one test; each rewrites the file
+reuse_tmp_path = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+word_fields = st.sampled_from([2, 3, 17, 257])
+
+
+@reuse_tmp_path
+@given(word_fields.flatmap(lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=20))),
+       st.integers(1, 20))
+def test_word_parser_accepts_residues_in_range(tmp_path, word, k):
+    q, values = word
+    path = tmp_path / "w.word"
+    path.write_text(f"{q}\n{' '.join(map(str, values))}\n")
+    if k <= len(values):
+        assert read_word_file(str(path), k) == (q, values)
+    else:
+        with pytest.raises(ValueError, match=f"length {len(values)} is too short for k = {k}"):
+            read_word_file(str(path), k)
+
+
+@reuse_tmp_path
+@given(word_fields.flatmap(lambda q: st.tuples(
+    st.just(q),
+    st.lists(st.integers(0, q - 1), min_size=1, max_size=20),
+    st.one_of(st.integers(max_value=-1), st.integers(min_value=q)),
+)), st.data())
+def test_word_parser_rejects_residue_out_of_range(tmp_path, word, data):
+    q, values, bad = word
+    at = data.draw(st.integers(0, len(values)))
+    values = values[:at] + [bad] + values[at:]
+    path = tmp_path / "w.word"
+    path.write_text(f"{q}\n{' '.join(map(str, values))}\n")
+    first = next(i for i, v in enumerate(values) if not 0 <= v < q)
+    with pytest.raises(ValueError, match=f"residue {values[first]} at position {first} is outside"):
+        read_word_file(str(path))
+
+
+def test_bad_words_exit_1_and_name_the_problem(tmp_path, capsys):
+    symbols = list(ex.RECEIVED)
+    symbols[3], symbols[9] = 99, -3
+    path = write_received(tmp_path, symbols)
+    code, stdout, err = run(capsys, "decode", "--method", "virs", "--in", path, "--k", "4", "--alpha", "3", "--s", "2")
+    assert (code, stdout) == (1, "")
+    assert "residue 99 at position 3" in err
+    path = write_received(tmp_path, [1, 2, 3])
+    code, _, err = run(capsys, "decode", "--method", "wb", "--in", path, "--k", "4")
+    assert code == 1
+    assert "length 3 is too short for k = 4" in err
 
 
 def test_dump_matrices(tmp_path, capsys):

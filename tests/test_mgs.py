@@ -6,6 +6,8 @@ import gf17_example as ex
 from rsdec import (
     BiPoly,
     CodeSpec,
+    DecodeOutcome,
+    FactorError,
     Field,
     UniPoly,
     Word,
@@ -20,11 +22,14 @@ from rsdec import (
     mgs_decode,
     mgs_interpolate,
     multiplicity_at,
+    nullspace,
     power_factor_poly,
     random_error,
     substitute_y,
+    virs_radius,
     wb_decode,
 )
+from rsdec.outcome import conclude
 
 F17 = Field(17)
 
@@ -87,6 +92,24 @@ def test_interpolate_no_errors_gives_pure_power():
     lam, g = extract_power_factor(Q, 2, spec.k)
     assert g == f
     assert lam == UniPoly.one(spec.field)
+
+
+@given(st.lists(st.integers(0, 16), min_size=4, max_size=4), st.integers(5, 8), st.integers(0, 2**32))
+def test_decode_matches_reference_extraction(f_coeffs, wt, seed):
+    # the shared extraction against extract_power_factor's full expansion
+    spec = ex.code()
+    r = corrupt(encode(spec, UniPoly.from_ints(F17, f_coeffs)), random_error(spec, wt, seed))
+    tau = virs_radius(spec.n, spec.k, 2)
+    out = mgs_decode(spec, r, 2)
+    try:
+        lam, f = extract_power_factor(mgs_interpolate(spec, r, 2), 2, spec.k)
+        ref = conclude(spec, r, tau, lam, f)
+    except (ValueError, FactorError) as err:
+        ref = DecodeOutcome.failure(str(err))
+    assert out.success == ref.success
+    if out.success:
+        assert (out.locator, out.f) == (ref.locator, ref.f)
+    assert out.kernel_dim == len(nullspace(build_Bbar(spec, r, 2, tau).matrix))
 
 
 def test_decode_worked_example():

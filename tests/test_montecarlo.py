@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rsdec import wb_radius
+from rsdec import UniPoly, build_Bbar, corrupt, encode, nullspace, random_error, virs_radius, wb_build, wb_radius
 from rsdec.montecarlo import ExperimentConfig, run_montecarlo, run_trials
+from rsdec.rng import Stream, derive_seed
 
 
 def small_config(**overrides):
@@ -100,3 +101,19 @@ def test_half_distance_weight_separates_decoders():
     for r in recs:
         assert r.outcome("virs") == r.outcome("mgs")
         assert r.agreement
+
+
+@pytest.mark.parametrize("methods", [("wb",), ("virs",), ("mgs",), ("wb", "virs", "mgs")])
+def test_nullspace_dim_matches_a_recompute(methods):
+    # the decoders report it; recompute it from the trial's received word
+    cfg = small_config(weights=(0, 5, 8), trials=2, methods=methods)
+    spec = cfg.code_spec()
+    for rec in run_trials(cfg):
+        stream = Stream(derive_seed(cfg.seed, rec.weight, rec.trial))
+        f = UniPoly.from_ints(spec.field, [stream.below(cfg.q) for _ in range(cfg.k)])
+        r = corrupt(encode(spec, f), random_error(spec, rec.weight, stream.next64()))
+        if methods == ("wb",):
+            system = wb_build(spec, r)
+        else:
+            system = build_Bbar(spec, r, cfg.s, virs_radius(cfg.n, cfg.k, cfg.s))
+        assert rec.nullspace_dim == len(nullspace(system.matrix))

@@ -8,7 +8,6 @@ from rsdec import (
     Field,
     StackedSolution,
     UniPoly,
-    VirsParams,
     Word,
     block_widths,
     build_A,
@@ -24,6 +23,7 @@ from rsdec import (
     wb_decode,
     wb_radius,
 )
+from rsdec.outcome import finish, scaling_scalars
 
 F17 = Field(17)
 
@@ -59,27 +59,17 @@ def test_radius_never_below_half_distance():
 
 
 def test_params_block_counts():
-    params = VirsParams.at_max_radius(ex.code(), 2)
-    assert params.tau == 7
-    assert params.Ni == (8, 11, 14)
-    assert params.N == 33
+    spec = ex.code()
+    assert virs_radius(spec.n, spec.k, 2) == 7
     assert block_widths(4, 2, 7) == (14, 11, 8)
+    assert sum(block_widths(4, 2, 7)) == 33
 
 
 def test_params_total_identity():
     for n, k, s in [(16, 4, 2), (31, 4, 3), (20, 5, 2), (25, 3, 4)]:
-        F = Field(127)
-        spec = CodeSpec(F, n, k)
-        params = VirsParams.at_max_radius(spec, s)
+        tau = virs_radius(n, k, s)
         rho = (s * n - (s * (s + 1) // 2) * (k - 1) - s) % (s + 1)
-        assert params.N == s * n + 1 - rho
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        VirsParams(CodeSpec(Field(17), 4, 3), 2, 1)
-    with pytest.raises(ValueError):
-        VirsParams(ex.code(), 2, -1)
+        assert sum(block_widths(k, s, tau)) == s * n + 1 - rho
 
 
 def test_build_Mi_shapes_and_entries():
@@ -212,9 +202,25 @@ def test_degenerate_widths_keep_decoders_in_agreement():
         a = virs_decode(spec, r, 3)
         b = mgs_decode(spec, r, 3)
         assert a.success == b.success
-        if not a.success:
-            assert "power progression" in a.reason
-            assert "factorization failed" in b.reason
+        # one extraction serves both, so they fail for the same reason
+        assert a.reason == b.reason
+
+
+@pytest.mark.parametrize("scalars", [(1, 1, 1), scaling_scalars(2, 17)])
+def test_finish_rejects_a_stack_that_is_not_a_power_progression(scalars):
+    # scalars of virs, then of mgs; the division alone passes on both stacks
+    spec, f, _, r = ex.instance()
+    lam = ex.locator()
+    blocks = [lam * f**2 * scalars[0], lam * f * scalars[1], lam]
+
+    def kernel():
+        return [[c.value for c in StackedSolution(tuple(blocks)).to_vector(ex.WIDTHS)]]
+
+    good = finish(spec, r, 7, kernel(), ex.WIDTHS, scalars)
+    assert (good.success, good.f, good.kernel_dim) == (True, f, 1)
+    blocks[0] = blocks[0] + UniPoly.one(F17)
+    bad = finish(spec, r, 7, kernel(), ex.WIDTHS, scalars)
+    assert (bad.success, bad.reason, bad.kernel_dim) == (False, "solution stack is not a power progression", 1)
 
 
 def test_stack_vector_round_trip():

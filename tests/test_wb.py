@@ -8,6 +8,7 @@ import gf17_example as ex
 from rsdec import (
     CodeSpec,
     Field,
+    StackedSolution,
     UniPoly,
     Word,
     corrupt,
@@ -105,7 +106,7 @@ def test_message_component_matches_locator_times_f(seed):
     from rsdec import nullspace
 
     for vec in nullspace(system.matrix):
-        q0, q1 = system.split(vec)
+        q0, q1 = StackedSolution.from_vector(spec.field, vec, (system.width0, system.width1)).components
         assert q0 == -(out.f * q1)
 
 
