@@ -17,7 +17,8 @@ from .poly import NEG_INF, UniPoly, poly_divrem
 class FactorError(Exception):
     """Power-factor extraction failed; `reason` says which check broke.
 
-    reasons: "shape" (y-degree below the requested power), "division"
+    reasons: "shape" (y-degree below the requested power, or no kernel
+    vector with a nonzero top block to build Q from), "division"
     (candidate quotient not exact), "degree" (extracted f too large),
     "expansion" (product does not reproduce the input).
     """
@@ -218,30 +219,50 @@ def power_factor_poly(W: UniPoly, f: UniPoly, s: int) -> BiPoly:
     return BiPoly.from_uni(W) * y_minus_f ** s
 
 
+def scaling_scalars(s: int, q: int) -> tuple[int, ...]:
+    """Block-t scalar (-1)^(s-t) C(s, t) mod q of the map D(s), t = 0..s:
+    the y^t coefficient of Lambda (y - f)^s is D_t Lambda f^(s-t)."""
+    if s < 1:
+        raise ValueError("order must be positive")
+    return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
+
+
+def split_progression(stack, scalars, k: int) -> tuple[UniPoly, UniPoly]:
+    """(Lambda, f) with stack[t] = scalars[t] Lambda f^(s-t) for every t
+    and deg f < k, Lambda being the top block; or raise FactorError.
+
+    f = stack[s-1] / (scalars[s-1] Lambda) must divide exactly, and every
+    lower block is then checked against the progression: a stack passing
+    the division by luck but breaking this shape is a spurious solution.
+    """
+    locator = stack[-1]
+    f, rem = poly_divrem(stack[-2], locator * scalars[-2])
+    if not rem.is_zero():
+        raise FactorError("division", "locator does not divide the message component")
+    if f.degree >= k:
+        raise FactorError("degree", f"message degree {f.degree} >= dimension {k}")
+    term = locator * f
+    for t in range(len(stack) - 3, -1, -1):
+        term = term * f
+        if stack[t] != term * scalars[t]:
+            raise FactorError("expansion", "solution stack is not a power progression")
+    return locator, f
+
+
 def extract_power_factor(Q: BiPoly, s: int, k: int) -> tuple[UniPoly, UniPoly]:
     """Split Q as W(x) * (y - f(x))^s with deg f < k, or raise FactorError.
 
-    The candidate f = -Q_(s-1) / (s * Q_s) comes from comparing the top
-    two y-components, then the claimed factorization is verified by full
-    expansion. Trusting the division alone would let a spurious kernel
-    vector slip through as a bogus decode.
+    The y-components of W (y - f)^s are D_t W f^(s-t) with D = D(s), so
+    the factorization is checked component by component, without
+    expanding the product.
     """
     if s < 1:
         raise ValueError("power must be positive")
     if k < 1:
         raise ValueError("degree bound must be positive")
-    field = Q.field
-    if s % field.q == 0:
+    q = Q.field.q
+    if s % q == 0:
         raise ValueError("field characteristic divides the power")
     if Q.ydeg != s:
         raise FactorError("shape", f"y-degree {Q.ydeg} does not match power {s}")
-    W = Q.component(s)
-    denom = W * field(s)
-    f, rem = poly_divrem(-Q.component(s - 1), denom)
-    if not rem.is_zero():
-        raise FactorError("division", "top components do not divide exactly")
-    if f.degree >= k:
-        raise FactorError("degree", f"extracted message degree {f.degree} >= {k}")
-    if power_factor_poly(W, f, s) != Q:
-        raise FactorError("expansion", "expansion does not reproduce the input")
-    return W, f
+    return split_progression(Q.components, scaling_scalars(s, q), k)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bivariate import scaling_scalars
 from .code import CodeSpec, Word
 from .field import Field, FieldElement
 from .linalg import Mat, nullspace
 from .mgs import build_Bbar
-from .outcome import scaling_scalars
 from .virs import block_widths
 
 

@@ -16,18 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivariate import BiPoly, hasse_y, substitute_y
+from .bivariate import BiPoly, FactorError, extract_power_factor, hasse_y, substitute_y
 from .code import CodeSpec, Word, interpolate_word
 from .field import binom_mod
-from .linalg import Mat, _nullspace_ints
-from .outcome import DecodeOutcome, finish, scaling_scalars, select_stack
+from .linalg import Mat, nullspace
+from .outcome import DecodeOutcome, conclude, select_stack
 from .poly import locator_poly, poly_divrem
 from .virs import block_widths, feasible, virs_radius
-
-# Bound but not called: perfbench/spans.py traces layers by the names each
-# module binds, and its smoke test needs every traced layer to exist.
-from .bivariate import extract_power_factor  # noqa: F401
-from .outcome import conclude  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -71,27 +66,22 @@ def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
     return MgsSystem(Mat(spec.field, rows), s, tau, widths)
 
 
-def _kernel(spec: CodeSpec, r: Word, s: int) -> tuple[MgsSystem, list[list[int]]]:
-    system = build_Bbar(spec, r, s, virs_radius(spec.n, spec.k, s))
-    matrix = system.matrix
-    return system, _nullspace_ints(matrix.rows, matrix.ncols, spec.field.q)
-
-
 def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
-    system, kernel = _kernel(spec, r, s)
-    stack = select_stack(spec.field, kernel, system.widths)
-    if stack is None:
-        raise ValueError("interpolation system has no solution with nonzero locator component")
-    return BiPoly(spec.field, stack)
+    system = build_Bbar(spec, r, s, virs_radius(spec.n, spec.k, s))
+    return BiPoly(spec.field, select_stack(spec.field, nullspace(system.matrix), system.widths))
 
 
 def mgs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     if s % spec.field.q == 0:
         raise ValueError("field characteristic divides the interpolation order")
-    system, kernel = _kernel(spec, r, s)
-    # Qbar^(t) = D_t Lambda f^(s-t): the stack of Lambda (y - f)^s
-    scalars = scaling_scalars(s, spec.field.q)
-    return finish(spec, r, system.tau, kernel, system.widths, scalars)
+    system = build_Bbar(spec, r, s, virs_radius(spec.n, spec.k, s))
+    kernel = nullspace(system.matrix)
+    try:
+        stack = select_stack(spec.field, kernel, system.widths)
+        locator, f = extract_power_factor(BiPoly(spec.field, stack), s, spec.k)
+    except FactorError as err:
+        return DecodeOutcome.failure(str(err), len(kernel))
+    return conclude(spec, r, system.tau, locator, f, len(kernel))
 
 
 def errorfree_divisibility_check(

@@ -13,15 +13,13 @@ from dataclasses import dataclass, field as dc_field
 
 from .code import CodeSpec, Word, corrupt, encode, random_error
 from .field import Field
-from .mgs import mgs_decode
+from .linalg import nullspace
+from .mgs import build_Bbar, mgs_decode
 from .outcome import DecodeOutcome
 from .poly import UniPoly
 from .rng import Stream, derive_seed
-from .virs import feasible, virs_decode
-from .wb import wb_decode
-
-# Bound but not called, as in mgs.py: perfbench traces the names.
-from .linalg import nullspace  # noqa: F401
+from .virs import feasible, virs_decode, virs_radius
+from .wb import wb_build, wb_decode
 
 METHODS = ("wb", "virs", "mgs")
 
@@ -133,7 +131,11 @@ def run_trial(cfg: ExperimentConfig, spec: CodeSpec, weight: int, trial: int) ->
     agreement = None
     if "virs" in decoded and "mgs" in decoded:
         agreement = _same_answer(decoded["virs"], decoded["mgs"])
-    dim = next(decoded[m].kernel_dim for m in ("mgs", "virs", "wb") if m in decoded)
+    if "virs" in cfg.methods or "mgs" in cfg.methods:
+        tau = virs_radius(cfg.n, cfg.k, cfg.s)
+        dim = len(nullspace(build_Bbar(spec, r, cfg.s, tau).matrix))
+    else:
+        dim = len(nullspace(wb_build(spec, r).matrix))
     return TrialRecord(
         weight=weight,
         trial=trial,

@@ -1,18 +1,21 @@
-"""Decoder result type and the pipeline stage shared by every decoder.
+"""Decoder result type and the stages shared by every decoder.
 
-A decoder builds its system and takes its kernel; `finish` does the
-rest. The decoders differ only in their block scalars c, with a
+Every decoder runs the same pipeline: build its system, take the
+kernel, `select_stack`, split the stack into (Lambda, f) with
+`bivariate.split_progression`, and accept through `conclude`. The
+decoders differ only in the system and in the block scalars c of a
 decodable stack Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for
-mgs and D(1) for wb.
+mgs and D(1) for wb (the last two through `extract_power_factor`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from .bivariate import FactorError
 from .code import CodeSpec, Word, corrupt, encode, weight
-from .field import Field, binom_mod
-from .poly import UniPoly, poly_divrem
+from .field import Field
+from .poly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,11 @@ class DecodeOutcome:
         return self.success
 
 
-def scaling_scalars(s: int, q: int) -> tuple[int, ...]:
-    """Block-t scalar (-1)^(s-t) C(s, t) mod q of the map D(s), t = 0..s:
-    the y^t coefficient of Lambda (y - f)^s is D_t Lambda f^(s-t)."""
-    if s < 1:
-        raise ValueError("order must be positive")
-    return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
-
-
-def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...] | None:
+def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
     """Blocks of the first kernel vector whose top block has the lowest
-    degree among the nonzero ones; None when every top block is zero."""
+    degree among the nonzero ones; FactorError("shape") when there is none."""
+    if not kernel:
+        raise FactorError("shape", "interpolation system has no nonzero solution")
     top = sum(widths[:-1])
     best = best_deg = None
     for vec in kernel:
@@ -51,55 +48,33 @@ def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...] | None:
         if deg is not None and (best is None or deg < best_deg):
             best, best_deg = vec, deg
     if best is None:
-        return None
+        raise FactorError("shape", "no solution with nonzero locator component")
     blocks = []
     at = 0
     for width in widths:
-        blocks.append(UniPoly.from_ints(field, best[at : at + width]))
+        blocks.append(UniPoly(field, best[at : at + width]))
         at += width
     return tuple(blocks)
 
 
-def finish(spec: CodeSpec, r: Word, tau: int, kernel, widths, scalars) -> DecodeOutcome:
-    """Select a vector of the int kernel basis, extract (Lambda, f), accept.
-
-    f = Q^(s-1) / (c_(s-1) Lambda) must divide exactly and every lower
-    block must equal c_t Lambda f^(s-t); a vector passing the division by
-    luck but breaking this shape is a spurious solution, not a decode.
-    """
-    dim = len(kernel)
-    if not kernel:
-        return DecodeOutcome.failure("interpolation system has no nonzero solution", dim)
-    stack = select_stack(spec.field, kernel, widths)
-    if stack is None:
-        return DecodeOutcome.failure("no solution with nonzero locator component", dim)
-    locator = stack[-1]
-    f, rem = poly_divrem(stack[-2], locator * scalars[-2])
-    if not rem.is_zero():
-        return DecodeOutcome.failure("locator does not divide the message component", dim)
-    term = locator * f
-    for t in range(len(stack) - 3, -1, -1):
-        term = term * f
-        if stack[t] != term * scalars[t]:
-            return DecodeOutcome.failure("solution stack is not a power progression", dim)
-    return replace(conclude(spec, r, tau, locator, f), kernel_dim=dim)
-
-
-def conclude(spec: CodeSpec, r: Word, tau: int, locator: UniPoly, f: UniPoly) -> DecodeOutcome:
+def conclude(
+    spec: CodeSpec, r: Word, tau: int, locator: UniPoly, f: UniPoly, kernel_dim: int | None = None
+) -> DecodeOutcome:
     """Final acceptance gate shared by all decoders.
 
     Given a candidate (locator, message) pair, accept only if the
     message fits the code dimension and the re-encoded codeword lies
     within distance tau of the received word. A decoder never reports
-    a codeword farther than its radius.
+    a codeword farther than its radius. `kernel_dim` is passed through
+    to the outcome.
     """
     if f.degree >= spec.k:
-        return DecodeOutcome.failure(f"message degree {f.degree} >= dimension {spec.k}")
+        return DecodeOutcome.failure(f"message degree {f.degree} >= dimension {spec.k}", kernel_dim)
     c = encode(spec, f)
     residual = corrupt(r, Word(spec.field, [-v for v in c.symbols], kind="error"))
     if weight(residual) > tau:
         return DecodeOutcome.failure(
-            f"corrected word at distance {weight(residual)} > radius {tau}"
+            f"corrected word at distance {weight(residual)} > radius {tau}", kernel_dim
         )
     return DecodeOutcome(
         success=True,
@@ -107,4 +82,5 @@ def conclude(spec: CodeSpec, r: Word, tau: int, locator: UniPoly, f: UniPoly) ->
         locator=locator.monic(),
         corrected=c,
         error_positions=spec.positions_of_roots(locator),
+        kernel_dim=kernel_dim,
     )

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bivariate import FactorError, split_progression
 from .code import CodeSpec, Word
 from .field import Field, FieldElement
-from .linalg import Mat, _nullspace_ints
-from .outcome import DecodeOutcome, finish
+from .linalg import Mat, nullspace
+from .outcome import DecodeOutcome, conclude, select_stack
 from .poly import UniPoly
 
 
@@ -131,6 +132,10 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
 
 def virs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     tau = virs_radius(spec.n, spec.k, s)
-    matrix = build_A(spec, r, s, tau)
-    kernel = _nullspace_ints(matrix.rows, matrix.ncols, spec.field.q)
-    return finish(spec, r, tau, kernel, block_widths(spec.k, s, tau), (1,) * (s + 1))
+    kernel = nullspace(build_A(spec, r, s, tau))
+    try:
+        stack = select_stack(spec.field, kernel, block_widths(spec.k, s, tau))
+        locator, f = split_progression(stack, (1,) * (s + 1), spec.k)
+    except FactorError as err:
+        return DecodeOutcome.failure(str(err), len(kernel))
+    return conclude(spec, r, tau, locator, f, len(kernel))

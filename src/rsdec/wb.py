@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bivariate import BiPoly, FactorError, extract_power_factor
 from .code import CodeSpec, Word
-from .linalg import Mat, _nullspace_ints
-from .outcome import DecodeOutcome, finish, scaling_scalars
+from .linalg import Mat, nullspace
+from .outcome import DecodeOutcome, conclude, select_stack
 
 
 def wb_radius(n: int, k: int) -> int:
@@ -51,8 +52,10 @@ def wb_build(spec: CodeSpec, r: Word) -> WbSystem:
 
 def wb_decode(spec: CodeSpec, r: Word) -> DecodeOutcome:
     system = wb_build(spec, r)
-    matrix = system.matrix
-    kernel = _nullspace_ints(matrix.rows, matrix.ncols, spec.field.q)
-    widths = (system.width0, system.width1)
-    # Q0 = -Lambda f: the s = 1 case of the power-factor stack
-    return finish(spec, r, system.tau0, kernel, widths, scaling_scalars(1, spec.field.q))
+    kernel = nullspace(system.matrix)
+    try:
+        stack = select_stack(spec.field, kernel, (system.width0, system.width1))
+        locator, f = extract_power_factor(BiPoly(spec.field, stack), 1, spec.k)
+    except FactorError as err:
+        return DecodeOutcome.failure(str(err), len(kernel))
+    return conclude(spec, r, system.tau0, locator, f, len(kernel))

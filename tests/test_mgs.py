@@ -23,6 +23,7 @@ from rsdec import (
     mgs_interpolate,
     multiplicity_at,
     nullspace,
+    poly_divrem,
     power_factor_poly,
     random_error,
     substitute_y,
@@ -96,16 +97,22 @@ def test_interpolate_no_errors_gives_pure_power():
 
 @given(st.lists(st.integers(0, 16), min_size=4, max_size=4), st.integers(5, 8), st.integers(0, 2**32))
 def test_decode_matches_reference_extraction(f_coeffs, wt, seed):
-    # the shared extraction against extract_power_factor's full expansion
+    # the decoder against the textbook path: f = -Q_1 / (2 Q_2), then the
+    # expansion Q_2 (y - f)^2 must give back Q, then conclude
     spec = ex.code()
     r = corrupt(encode(spec, UniPoly.from_ints(F17, f_coeffs)), random_error(spec, wt, seed))
     tau = virs_radius(spec.n, spec.k, 2)
     out = mgs_decode(spec, r, 2)
     try:
-        lam, f = extract_power_factor(mgs_interpolate(spec, r, 2), 2, spec.k)
-        ref = conclude(spec, r, tau, lam, f)
-    except (ValueError, FactorError) as err:
-        ref = DecodeOutcome.failure(str(err))
+        Q = mgs_interpolate(spec, r, 2)
+    except FactorError:
+        Q = BiPoly.zero(F17)
+    lam = Q.component(2)
+    ref = DecodeOutcome.failure("no factorization")
+    if Q.ydeg == 2:
+        f, rem = poly_divrem(-Q.component(1), lam * F17(2))
+        if rem.is_zero() and f.degree < spec.k and power_factor_poly(lam, f, 2) == Q:
+            ref = conclude(spec, r, tau, lam, f)
     assert out.success == ref.success
     if out.success:
         assert (out.locator, out.f) == (ref.locator, ref.f)

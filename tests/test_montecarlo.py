@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rsdec import UniPoly, build_Bbar, corrupt, encode, nullspace, random_error, virs_radius, wb_build, wb_radius
+from rsdec import UniPoly, corrupt, encode, mgs_decode, random_error, virs_decode, wb_decode, wb_radius
 from rsdec.montecarlo import ExperimentConfig, run_montecarlo, run_trials
 from rsdec.rng import Stream, derive_seed
 
@@ -104,8 +104,9 @@ def test_half_distance_weight_separates_decoders():
 
 
 @pytest.mark.parametrize("methods", [("wb",), ("virs",), ("mgs",), ("wb", "virs", "mgs")])
-def test_nullspace_dim_matches_a_recompute(methods):
-    # the decoders report it; recompute it from the trial's received word
+def test_nullspace_dim_matches_decoder_kernel_dim(methods):
+    # run_trial recomputes the dimension; every decoder reports its own
+    # kernel's, and A = Bbar D makes the virs kernel as large as the mgs one
     cfg = small_config(weights=(0, 5, 8), trials=2, methods=methods)
     spec = cfg.code_spec()
     for rec in run_trials(cfg):
@@ -113,7 +114,7 @@ def test_nullspace_dim_matches_a_recompute(methods):
         f = UniPoly.from_ints(spec.field, [stream.below(cfg.q) for _ in range(cfg.k)])
         r = corrupt(encode(spec, f), random_error(spec, rec.weight, stream.next64()))
         if methods == ("wb",):
-            system = wb_build(spec, r)
+            dims = {wb_decode(spec, r).kernel_dim}
         else:
-            system = build_Bbar(spec, r, cfg.s, virs_radius(cfg.n, cfg.k, cfg.s))
-        assert rec.nullspace_dim == len(nullspace(system.matrix))
+            dims = {virs_decode(spec, r, cfg.s).kernel_dim, mgs_decode(spec, r, cfg.s).kernel_dim}
+        assert dims == {rec.nullspace_dim}

@@ -23,7 +23,7 @@ from rsdec import (
     wb_decode,
     wb_radius,
 )
-from rsdec.outcome import finish, scaling_scalars
+from rsdec.bivariate import FactorError, scaling_scalars, split_progression
 
 F17 = Field(17)
 
@@ -207,20 +207,16 @@ def test_degenerate_widths_keep_decoders_in_agreement():
 
 
 @pytest.mark.parametrize("scalars", [(1, 1, 1), scaling_scalars(2, 17)])
-def test_finish_rejects_a_stack_that_is_not_a_power_progression(scalars):
+def test_split_rejects_a_stack_that_is_not_a_power_progression(scalars):
     # scalars of virs, then of mgs; the division alone passes on both stacks
-    spec, f, _, r = ex.instance()
-    lam = ex.locator()
-    blocks = [lam * f**2 * scalars[0], lam * f * scalars[1], lam]
-
-    def kernel():
-        return [[c.value for c in StackedSolution(tuple(blocks)).to_vector(ex.WIDTHS)]]
-
-    good = finish(spec, r, 7, kernel(), ex.WIDTHS, scalars)
-    assert (good.success, good.f, good.kernel_dim) == (True, f, 1)
-    blocks[0] = blocks[0] + UniPoly.one(F17)
-    bad = finish(spec, r, 7, kernel(), ex.WIDTHS, scalars)
-    assert (bad.success, bad.reason, bad.kernel_dim) == (False, "solution stack is not a power progression", 1)
+    f = UniPoly.from_ints(F17, [1, 2, 3])
+    lam = locator_poly(F17, [F17(3), F17(9)])
+    stack = [lam * f**2 * scalars[0], lam * f * scalars[1], lam]
+    assert split_progression(stack, scalars, 4) == (lam, f)
+    stack[0] = stack[0] + UniPoly.one(F17)
+    with pytest.raises(FactorError) as err:
+        split_progression(stack, scalars, 4)
+    assert str(err.value) == "solution stack is not a power progression"
 
 
 def test_stack_vector_round_trip():
