@@ -69,7 +69,7 @@ def main():
     same = nullspace_equivalence(A, sysb.matrix, D, sysb.widths)
     print(f"system A: {A.nrows}x{A.ncols}, dim null = {len(nullspace(A))}")
     print(f"system Bbar: {sysb.matrix.nrows}x{sysb.matrix.ncols}, dim null = {len(nullspace(sysb.matrix))}")
-    print(f"diagonal scalars: {tuple(d.value for d in D.scalars)}")
+    print(f"diagonal scalars: {D.scalars}")
     print(f"solution spaces identical under D: {same}")
 
 

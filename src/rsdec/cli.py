@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .code import CodeSpec, Word, corrupt, random_error
 from .code import encode as rs_encode
-from .equiv import build_B, nullspace_equivalence, scaling_map
+from .equiv import build_B, kernels_equivalent, scaling_map
 from .field import Field
 from .linalg import nullspace
 from .mgs import build_Bbar, mgs_decode
@@ -42,6 +42,13 @@ def _read_lines(path: str) -> list[str]:
     return [line.strip() for line in raw if line.strip() and not line.lstrip().startswith("#")]
 
 
+def check_residues(source: str, residues: Sequence[int], q: int):
+    """Reject the first residue outside [0, q), naming it and its position."""
+    for i, v in enumerate(residues):
+        if not 0 <= v < q:
+            raise ValueError(f"{source}: residue {v} at position {i} is outside [0, {q})")
+
+
 def read_word_file(path: str, k: int = 1) -> tuple[int, list[int]]:
     """(q, residues) of a word file holding at least k residues in [0, q)."""
     lines = _read_lines(path)
@@ -52,9 +59,7 @@ def read_word_file(path: str, k: int = 1) -> tuple[int, list[int]]:
         residues = [int(tok) for tok in lines[1].split()]
     except ValueError:
         raise ValueError(f"{path}: residues must be decimal integers") from None
-    for i, v in enumerate(residues):
-        if not 0 <= v < q:
-            raise ValueError(f"{path}: residue {v} at position {i} is outside [0, {q})")
+    check_residues(path, residues, q)
     if len(residues) < k:
         raise ValueError(f"{path}: word of length {len(residues)} is too short for k = {k}")
     return q, residues
@@ -96,6 +101,7 @@ def _cmd_encode(args) -> int:
     field = Field(args.q, args.alpha)
     spec = CodeSpec(field, args.n, args.k)
     coeffs = [int(tok) for tok in args.f.replace(",", " ").split()]
+    check_residues("--f", coeffs, args.q)
     f = UniPoly.from_ints(field, coeffs)
     word = rs_encode(spec, f)
     write_word(args.out, args.q, word.to_ints())
@@ -169,10 +175,10 @@ def _cmd_equiv(args) -> int:
     system = build_Bbar(spec, word, args.s, tau)
     D = scaling_map(args.s, spec.field)
     widths = block_widths(spec.k, args.s, tau)
-    ok = nullspace_equivalence(A, system.matrix, D, widths)
-    dim = len(nullspace(A))
+    basis_a = nullspace(A)
+    ok = kernels_equivalent(A, system.matrix, D, widths, basis_a, nullspace(system.matrix))
     print(f"equivalent: {'true' if ok else 'false'}")
-    print(f"nullspace_dim: {dim}")
+    print(f"nullspace_dim: {len(basis_a)}")
     return 0 if ok else 3
 
 

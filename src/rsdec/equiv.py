@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .bivariate import scaling_scalars
 from .code import CodeSpec, Word
-from .field import Field, FieldElement
+from .field import Field
 from .linalg import Mat, nullspace
 from .mgs import build_Bbar
 from .virs import block_widths
@@ -27,17 +27,17 @@ from .virs import block_widths
 
 @dataclass(frozen=True)
 class ScalingMap:
-    """Diagonal map D with block-t scalar (-1)^(s-t) C(s, t)."""
+    """Diagonal map D with block-t scalar (-1)^(s-t) C(s, t) mod q."""
 
     s: int
     field: Field
-    scalars: tuple[FieldElement, ...]
+    scalars: tuple[int, ...]
 
     @property
     def invertible(self) -> bool:
-        return all(c.value != 0 for c in self.scalars)
+        return all(self.scalars)
 
-    def _expand(self, widths) -> list[FieldElement]:
+    def _expand(self, widths) -> list[int]:
         if len(widths) != self.s + 1:
             raise ValueError("widths must cover blocks 0..s")
         out = []
@@ -45,24 +45,23 @@ class ScalingMap:
             out.extend([c] * width)
         return out
 
-    def apply(self, vec, widths) -> list[FieldElement]:
+    def apply(self, vec, widths) -> list[int]:
         diag = self._expand(widths)
         if len(vec) != len(diag):
             raise ValueError("vector length does not match block widths")
-        return [c * v for c, v in zip(diag, vec)]
+        q = self.field.q
+        return [(c * v) % q for c, v in zip(diag, vec)]
 
-    def apply_inverse(self, vec, widths) -> list[FieldElement]:
+    def apply_inverse(self, vec, widths) -> list[int]:
         if not self.invertible:
             raise ValueError("scaling map is singular in this characteristic")
-        diag = self._expand(widths)
-        if len(vec) != len(diag):
-            raise ValueError("vector length does not match block widths")
-        return [c.inverse() * v for c, v in zip(diag, vec)]
+        q = self.field.q
+        inverse = tuple(pow(c, q - 2, q) for c in self.scalars)
+        return ScalingMap(self.s, self.field, inverse).apply(vec, widths)
 
 
 def scaling_map(s: int, field: Field) -> ScalingMap:
-    scalars = tuple(field(c) for c in scaling_scalars(s, field.q))
-    return ScalingMap(s, field, scalars)
+    return ScalingMap(s, field, scaling_scalars(s, field.q))
 
 
 def build_B(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
@@ -71,14 +70,19 @@ def build_B(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     if not D.invertible:
         raise ValueError("scaling map is singular in this characteristic")
     system = build_Bbar(spec, r, s, tau)
-    diag = [c.value for c in D._expand(system.widths)]
+    diag = D._expand(system.widths)
     q = spec.field.q
     rows = [[(v * d) % q for v, d in zip(row, diag)] for row in system.matrix.rows]
     return Mat(spec.field, rows)
 
 
 def nullspace_equivalence(A: Mat, Bbar: Mat, D: ScalingMap, widths) -> bool:
-    """Do A and Bbar D have identical solution spaces?
+    """Do A and Bbar D have identical solution spaces?"""
+    return kernels_equivalent(A, Bbar, D, widths, nullspace(A), nullspace(Bbar))
+
+
+def kernels_equivalent(A: Mat, Bbar: Mat, D: ScalingMap, widths, basis_a, basis_b) -> bool:
+    """`nullspace_equivalence` given the kernel bases of A and Bbar.
 
     Checks dim null(A) = dim null(Bbar), D v in null(Bbar) for every
     basis vector v of null(A), and D^(-1) w in null(A) for every basis
@@ -90,16 +94,8 @@ def nullspace_equivalence(A: Mat, Bbar: Mat, D: ScalingMap, widths) -> bool:
         raise ValueError("systems have different shapes")
     if A.ncols != sum(widths):
         raise ValueError("widths do not cover the columns")
-    basis_a = nullspace(A)
-    basis_b = nullspace(Bbar)
     if len(basis_a) != len(basis_b):
         return False
-    for v in basis_a:
-        image = D.apply(v, widths)
-        if any(x.value != 0 for x in Bbar.mulvec(image)):
-            return False
-    for w in basis_b:
-        preimage = D.apply_inverse(w, widths)
-        if any(x.value != 0 for x in A.mulvec(preimage)):
-            return False
-    return True
+    if any(any(Bbar.mulvec(D.apply(v, widths))) for v in basis_a):
+        return False
+    return not any(any(A.mulvec(D.apply_inverse(w, widths))) for w in basis_b)

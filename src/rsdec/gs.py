@@ -19,7 +19,7 @@ from .bivariate import BiPoly, hasse_y, shift, substitute_y
 from .code import CodeSpec, Word, interpolate_word
 from .field import binom_mod
 from .linalg import Mat, nullspace
-from .poly import UniPoly, locator_poly, poly_divrem
+from .poly import locator_poly, poly_divrem, split_blocks
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,7 @@ def gs_interpolate(spec: CodeSpec, r: Word, p: GsParams) -> BiPoly:
     basis = nullspace(matrix)
     if not basis:
         raise ValueError("constraint matrix has full column rank")
-    vec = basis[0]
-    widths = p.column_widths()
-    comps = []
-    at = 0
-    for width in widths:
-        comps.append(UniPoly(spec.field, vec[at : at + width]))
-        at += width
-    return BiPoly(spec.field, comps)
+    return BiPoly(spec.field, split_blocks(spec.field, basis[0], p.column_widths()))
 
 
 def multiplicity_at(Q: BiPoly, x0, y0) -> int:

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a prime field.
 
-Matrices are immutable. Internally entries live as plain ints modulo q,
-which keeps elimination loops cheap; the public surface hands out
-FieldElement values.
+Matrices are immutable tuples of int residues in [0, q), and every
+function here takes and returns plain ints: vectors, kernel bases and
+products alike. Elimination runs on one working copy made by
+`_rref_ints`.
 
 The nullspace basis is canonical: for each free column j there is one
 basis vector with a 1 in position j, zeros in the other free positions,
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import Field, FieldElement
+from .field import Field
 
 
 class Mat:
@@ -34,25 +35,11 @@ class Mat:
         self.nrows = len(normalized)
         self.ncols = width
 
-    @classmethod
-    def from_elements(cls, field: Field, rows: Iterable[Iterable[FieldElement]]) -> "Mat":
-        return cls(field, [[e.value for e in row] for row in rows])
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.field(self.rows[i][j])
-
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        return tuple(self.field(v) for v in self.rows[i])
-
-    def mulvec(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
+    def mulvec(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch")
         q = self.field.q
-        vals = [e.value for e in vec]
-        return [
-            self.field(sum(a * b for a, b in zip(row, vals)) % q)
-            for row in self.rows
-        ]
+        return [sum(a * b for a, b in zip(row, vec)) % q for row in self.rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -66,7 +53,7 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols} over {self.field})"
 
 
-def _rref_ints(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+def _rref_ints(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
     """Row-reduce in place semantics on a copy; returns (rref rows, pivot cols).
 
     Pivot selection is leftmost column, first nonzero row, so the result
@@ -104,38 +91,26 @@ def _rref_ints(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int
 
 
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    reduced, pivots = _rref_ints([list(r) for r in mat.rows], mat.field.q)
+    reduced, pivots = _rref_ints(mat.rows, mat.field.q)
     return Mat(mat.field, reduced), tuple(pivots)
 
 
 def rank(mat: Mat) -> int:
-    _, pivots = _rref_ints([list(r) for r in mat.rows], mat.field.q)
+    _, pivots = _rref_ints(mat.rows, mat.field.q)
     return len(pivots)
 
 
-def _nullspace_ints(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [0] * ncols
-            v[j] = 1
-            basis.append(v)
-        return basis
-    reduced, pivots = _rref_ints(rows, q)
+def nullspace(mat: Mat) -> list[list[int]]:
+    """Canonical basis of the right kernel, one vector per free column."""
+    q = mat.field.q
+    reduced, pivots = _rref_ints(mat.rows, q)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    free = [j for j in range(mat.ncols) if j not in pivot_set]
     basis = []
     for j in free:
-        v = [0] * ncols
+        v = [0] * mat.ncols
         v[j] = 1
         for r, pc in enumerate(pivots):
             v[pc] = (-reduced[r][j]) % q
         basis.append(v)
     return basis
-
-
-def nullspace(mat: Mat) -> list[tuple[FieldElement, ...]]:
-    """Canonical basis of the right kernel, one vector per free column."""
-    field = mat.field
-    ints = _nullspace_ints([list(r) for r in mat.rows], mat.ncols, field.q)
-    return [tuple(field(v) for v in vec) for vec in ints]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .bivariate import FactorError
 from .code import CodeSpec, Word, corrupt, encode, weight
 from .field import Field
-from .poly import UniPoly
+from .poly import UniPoly, split_blocks
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,7 @@ def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
             best, best_deg = vec, deg
     if best is None:
         raise FactorError("shape", "no solution with nonzero locator component")
-    blocks = []
-    at = 0
-    for width in widths:
-        blocks.append(UniPoly(field, best[at : at + width]))
-        at += width
-    return tuple(blocks)
+    return split_blocks(field, best, widths)
 
 
 def conclude(

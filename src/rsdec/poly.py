@@ -150,6 +150,19 @@ class UniPoly:
         return f"UniPoly({[c.value for c in self.coeffs]} over {self.field})"
 
 
+def split_blocks(field: Field, vec: Sequence[int], widths: Sequence[int]) -> tuple[UniPoly, ...]:
+    """Cut a flat coefficient vector into one polynomial per block, each
+    block holding `width` coefficients in ascending degree."""
+    if len(vec) != sum(widths):
+        raise ValueError("vector length does not match block widths")
+    blocks = []
+    at = 0
+    for width in widths:
+        blocks.append(UniPoly.from_ints(field, vec[at : at + width]))
+        at += width
+    return tuple(blocks)
+
+
 def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Quotient and remainder with a = q*b + r and deg r < deg b."""
     if b.is_zero():

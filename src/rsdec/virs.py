@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 from .bivariate import FactorError, split_progression
 from .code import CodeSpec, Word
-from .field import Field, FieldElement
+from .field import Field
 from .linalg import Mat, nullspace
 from .outcome import DecodeOutcome, conclude, select_stack
-from .poly import UniPoly
+from .poly import UniPoly, split_blocks
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -59,23 +59,16 @@ class StackedSolution:
 
     @classmethod
     def from_vector(cls, field: Field, vec, widths) -> "StackedSolution":
-        if len(vec) != sum(widths):
-            raise ValueError("vector length does not match block widths")
-        comps = []
-        at = 0
-        for width in widths:
-            comps.append(UniPoly(field, vec[at : at + width]))
-            at += width
-        return cls(tuple(comps))
+        return cls(split_blocks(field, vec, widths))
 
-    def to_vector(self, widths) -> list[FieldElement]:
+    def to_vector(self, widths) -> list[int]:
         if len(widths) != len(self.components):
             raise ValueError("block count mismatch")
         out = []
         for p, width in zip(self.components, widths):
             if p.degree >= width:
                 raise ValueError("component degree exceeds its block width")
-            out.extend(p.coeff(j) for j in range(width))
+            out.extend(p.coeff(j).value for j in range(width))
         return out
 
 

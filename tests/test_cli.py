@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gf17_example as ex
+import rsdec.linalg
 from rsdec.cli import main, read_word_file
 
 
@@ -139,15 +140,20 @@ def test_word_parser_accepts_residues_in_range(tmp_path, word, k):
     st.lists(st.integers(0, q - 1), min_size=1, max_size=20),
     st.one_of(st.integers(max_value=-1), st.integers(min_value=q)),
 )), st.data())
-def test_word_parser_rejects_residue_out_of_range(tmp_path, word, data):
+def test_word_parser_rejects_residue_out_of_range(tmp_path, capsys, word, data):
     q, values, bad = word
     at = data.draw(st.integers(0, len(values)))
     values = values[:at] + [bad] + values[at:]
     path = tmp_path / "w.word"
     path.write_text(f"{q}\n{' '.join(map(str, values))}\n")
     first = next(i for i, v in enumerate(values) if not 0 <= v < q)
-    with pytest.raises(ValueError, match=f"residue {values[first]} at position {first} is outside"):
+    message = f"residue {values[first]} at position {first} is outside"
+    with pytest.raises(ValueError, match=message):
         read_word_file(str(path))
+    # message coefficients pass the same range check
+    code, stdout, err = run(capsys, "encode", "--q", str(q), "--n", "1", "--k", "1", f"--f={','.join(map(str, values))}")
+    assert (code, stdout) == (1, "")
+    assert message in err
 
 
 def test_bad_words_exit_1_and_name_the_problem(tmp_path, capsys):
@@ -178,6 +184,21 @@ def test_equiv_command(tmp_path, capsys):
     code, stdout, _ = run(capsys, "equiv", "--in", path, "--k", "4", "--alpha", "3", "--s", "2")
     assert code == 0
     assert "equivalent" in stdout.lower()
+
+
+def test_equiv_eliminates_each_system_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = rsdec.linalg._rref_ints
+
+    def counting(rows, q):
+        calls.append(q)
+        return original(rows, q)
+
+    monkeypatch.setattr(rsdec.linalg, "_rref_ints", counting)
+    path = write_received(tmp_path)
+    code, stdout, _ = run(capsys, "equiv", "--in", path, "--k", "4", "--alpha", "3", "--s", "2")
+    assert (code, stdout) == (0, "equivalent: true\nnullspace_dim: 1\n")
+    assert len(calls) == 2
 
 
 def test_mc_command_deterministic(tmp_path, capsys):
