@@ -28,7 +28,7 @@ from rsdec import (
 
 
 def fmt(p):
-    return " ".join(str(c.value) for c in p.coeffs) if p.degree >= 0 else "0"
+    return " ".join(str(c) for c in p.coeffs) if p.degree >= 0 else "0"
 
 
 def main():

@@ -35,7 +35,7 @@ from .code import (
     weight,
 )
 from .equiv import ScalingMap, build_B, nullspace_equivalence, scaling_map
-from .field import Field, FieldElement, binom_mod
+from .field import Field, binom_mod
 from .gs import GsParams, gs_interpolate, gs_params_valid, key_equation_check, multiplicity_at
 from .linalg import Mat, nullspace, rank, rref
 from .mgs import MgsSystem, build_Bbar, errorfree_divisibility_check, mgs_decode, mgs_interpolate
@@ -60,7 +60,6 @@ __all__ = [
     "ExperimentConfig",
     "FactorError",
     "Field",
-    "FieldElement",
     "GsParams",
     "Mat",
     "MgsSystem",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .field import Field, FieldElement, binom_mod
+from .field import Field, binom_mod
 from .poly import NEG_INF, UniPoly, poly_divrem
 
 
@@ -83,9 +83,7 @@ class BiPoly:
         return BiPoly(self.field, [-p for p in self.components])
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return BiPoly(self.field, [p * other for p in self.components])
-        if isinstance(other, UniPoly):
+        if isinstance(other, (int, UniPoly)):
             return BiPoly(self.field, [p * other for p in self.components])
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -112,10 +110,11 @@ class BiPoly:
             out = out * self
         return out
 
-    def evaluate(self, x0: FieldElement, y0: FieldElement) -> FieldElement:
-        acc = self.field.zero
+    def evaluate(self, x0: int, y0: int) -> int:
+        acc = 0
+        q = self.field.q
         for p in reversed(self.components):
-            acc = acc * y0 + p.evaluate(x0)
+            acc = (acc * y0 + p.evaluate(x0)) % q
         return acc
 
     def __eq__(self, other) -> bool:
@@ -127,7 +126,7 @@ class BiPoly:
         return hash((self.field, self.components))
 
     def __repr__(self) -> str:
-        rows = [[c.value for c in p.coeffs] for p in self.components]
+        rows = [list(p.coeffs) for p in self.components]
         return f"BiPoly({rows} over {self.field})"
 
 
@@ -143,7 +142,7 @@ def hasse_y(Q: BiPoly, b: int) -> BiPoly:
     return BiPoly(Q.field, comps)
 
 
-def _shift_uni(p: UniPoly, x0: FieldElement) -> UniPoly:
+def _shift_uni(p: UniPoly, x0: int) -> UniPoly:
     """p(x + x0), via the Hasse-Taylor expansion around x0."""
     if p.is_zero():
         return p
@@ -151,7 +150,7 @@ def _shift_uni(p: UniPoly, x0: FieldElement) -> UniPoly:
     return UniPoly(p.field, coeffs)
 
 
-def shift(Q: BiPoly, x0: FieldElement, y0: FieldElement) -> BiPoly:
+def shift(Q: BiPoly, x0: int, y0: int) -> BiPoly:
     """Q(x + x0, y + y0); its (a,b) coefficient is the mixed Hasse derivative."""
     q = Q.field.q
     out = []
@@ -161,28 +160,16 @@ def shift(Q: BiPoly, x0: FieldElement, y0: FieldElement) -> BiPoly:
             c = binom_mod(t, b, q)
             if c == 0:
                 continue
-            acc = acc + _shift_uni(Q.components[t], x0) * (Q.field(c) * y0 ** (t - b))
+            acc = acc + _shift_uni(Q.components[t], x0) * (c * pow(y0, t - b, q))
         out.append(acc)
     return BiPoly(Q.field, out)
 
 
-def hasse_mixed(Q: BiPoly, a: int, b: int, x0: FieldElement, y0: FieldElement) -> FieldElement:
-    """Coefficient of u^a v^b in Q(x0 + u, y0 + v).
-
-    Computed directly from the component list, not by building the
-    shifted polynomial.
-    """
+def hasse_mixed(Q: BiPoly, a: int, b: int, x0: int, y0: int) -> int:
+    """Coefficient of u^a v^b in Q(x0 + u, y0 + v), read off `shift`."""
     if a < 0 or b < 0:
         raise ValueError("derivative orders must be nonnegative")
-    q = Q.field.q
-    total = Q.field.zero
-    for t in range(b, len(Q.components)):
-        c = binom_mod(t, b, q)
-        if c == 0:
-            continue
-        inner = Q.components[t].hasse(a).evaluate(x0)
-        total = total + inner * (Q.field(c) * y0 ** (t - b))
-    return total
+    return shift(Q, x0, y0).component(b).coeff(a)
 
 
 def weighted_degree(Q: BiPoly, u: int, v: int) -> int:
@@ -192,7 +179,7 @@ def weighted_degree(Q: BiPoly, u: int, v: int) -> int:
     best = None
     for t, p in enumerate(Q.components):
         for i, c in enumerate(p.coeffs):
-            if c.value == 0:
+            if c == 0:
                 continue
             w = u * i + v * t
             if best is None or w > best:

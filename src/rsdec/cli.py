@@ -42,6 +42,14 @@ def _read_lines(path: str) -> list[str]:
     return [line.strip() for line in raw if line.strip() and not line.lstrip().startswith("#")]
 
 
+def decimal_ints(source: str, tokens: Sequence[str]) -> list[int]:
+    """The tokens as ints; a token that is not a decimal integer is named by its source."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"{source}: residues must be decimal integers") from None
+
+
 def check_residues(source: str, residues: Sequence[int], q: int):
     """Reject the first residue outside [0, q), naming it and its position."""
     for i, v in enumerate(residues):
@@ -54,11 +62,7 @@ def read_word_file(path: str, k: int = 1) -> tuple[int, list[int]]:
     lines = _read_lines(path)
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two data lines (q, then residues)")
-    try:
-        q = int(lines[0])
-        residues = [int(tok) for tok in lines[1].split()]
-    except ValueError:
-        raise ValueError(f"{path}: residues must be decimal integers") from None
+    q, *residues = decimal_ints(path, [lines[0], *lines[1].split()])
     check_residues(path, residues, q)
     if len(residues) < k:
         raise ValueError(f"{path}: word of length {len(residues)} is too short for k = {k}")
@@ -77,7 +81,7 @@ def write_word(out: str | None, q: int, residues: Sequence[int]):
 def _poly_line(p: UniPoly) -> str:
     if p.is_zero():
         return "0"
-    return " ".join(str(c.value) for c in p.coeffs)
+    return " ".join(str(c) for c in p.coeffs)
 
 
 def _report(outcome: DecodeOutcome) -> int:
@@ -100,7 +104,7 @@ def _spec_from_word(q: int, residues: Sequence[int], k: int, alpha: int | None) 
 def _cmd_encode(args) -> int:
     field = Field(args.q, args.alpha)
     spec = CodeSpec(field, args.n, args.k)
-    coeffs = [int(tok) for tok in args.f.replace(",", " ").split()]
+    coeffs = decimal_ints("--f", args.f.replace(",", " ").split())
     check_residues("--f", coeffs, args.q)
     f = UniPoly.from_ints(field, coeffs)
     word = rs_encode(spec, f)
@@ -156,6 +160,8 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = ExperimentConfig.from_json(fh.read())
     csv = run_montecarlo(cfg, threads=args.threads)

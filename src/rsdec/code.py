@@ -5,28 +5,23 @@ degree below k at n fixed distinct nonzero points, the code locators.
 The minimum distance is n - k + 1. Raising a received word symbolwise
 to the power i lands in the code of dimension i(k-1) + 1 on the same
 locators, which is what lets one received word impersonate a stack of
-independently encoded rows.
+independently encoded rows. Locators and word symbols are plain int
+residues in [0, q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .field import Field, FieldElement
+from .field import Field
 from .poly import UniPoly, lagrange_interpolate
 from .rng import Stream
 
 
-def default_locators(field: Field, n: int) -> tuple[FieldElement, ...]:
+def default_locators(field: Field, n: int) -> tuple[int, ...]:
     """Consecutive powers 1, alpha, alpha^2, ... of the primitive element."""
-    alpha = field.alpha()
-    out = []
-    cur = field.one
-    for _ in range(n):
-        out.append(cur)
-        cur = cur * alpha
-    return tuple(out)
+    return tuple(pow(field.primitive_element, i, field.q) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class CodeSpec:
     field: Field
     n: int
     k: int
-    locators: tuple[FieldElement, ...] = dc_field(default=())
+    locators: tuple[int, ...] = dc_field(default=())
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n < self.field.q):
@@ -42,14 +37,10 @@ class CodeSpec:
         locs = self.locators or default_locators(self.field, self.n)
         if len(locs) != self.n:
             raise ValueError("locator count must equal n")
-        vals = [a.value for a in locs]
-        if 0 in vals:
-            raise ValueError("locators must be nonzero")
-        if len(set(vals)) != self.n:
+        if not all(isinstance(a, int) and 0 < a < self.field.q for a in locs):
+            raise ValueError(f"locators must be ints in (0, {self.field.q})")
+        if len(set(locs)) != self.n:
             raise ValueError("locators must be distinct")
-        for a in locs:
-            if a.field != self.field:
-                raise ValueError("locator from a different field")
         object.__setattr__(self, "locators", tuple(locs))
 
     @property
@@ -58,11 +49,11 @@ class CodeSpec:
 
     def positions_of_roots(self, p: UniPoly) -> tuple[int, ...]:
         """Indices i with p(locators[i]) = 0."""
-        return tuple(i for i, a in enumerate(self.locators) if p.evaluate(a).value == 0)
+        return tuple(i for i, a in enumerate(self.locators) if p.evaluate(a) == 0)
 
 
 class Word:
-    """A length-n vector of field symbols with a role tag.
+    """A length-n vector of int residues mod q with a role tag.
 
     The tag records what the word is for (codeword, received, error);
     equality looks only at the symbols so a re-encoded codeword compares
@@ -73,28 +64,24 @@ class Word:
 
     KINDS = ("codeword", "received", "error")
 
-    def __init__(self, field: Field, symbols: Iterable[FieldElement], kind: str = "received"):
-        syms = tuple(symbols)
-        for v in syms:
-            if v.field != field:
-                raise ValueError("symbol from a different field")
+    def __init__(self, field: Field, symbols: Iterable[int], kind: str = "received"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown word kind {kind!r}")
         self.field = field
-        self.symbols = syms
+        self.symbols = tuple(v % field.q for v in symbols)
         self.kind = kind
 
     @classmethod
     def from_ints(cls, field: Field, ints: Iterable[int], kind: str = "received") -> "Word":
-        return cls(field, [field(v) for v in ints], kind)
+        return cls(field, ints, kind)
 
     def to_ints(self) -> list[int]:
-        return [v.value for v in self.symbols]
+        return list(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __getitem__(self, i: int) -> FieldElement:
+    def __getitem__(self, i: int) -> int:
         return self.symbols[i]
 
     def __iter__(self):
@@ -113,11 +100,11 @@ class Word:
 
 
 def weight(w: Word) -> int:
-    return sum(1 for v in w.symbols if v.value != 0)
+    return sum(1 for v in w.symbols if v)
 
 
 def support(w: Word) -> tuple[int, ...]:
-    return tuple(i for i, v in enumerate(w.symbols) if v.value != 0)
+    return tuple(i for i, v in enumerate(w.symbols) if v)
 
 
 def encode(spec: CodeSpec, f: UniPoly) -> Word:
@@ -131,7 +118,7 @@ def encode(spec: CodeSpec, f: UniPoly) -> Word:
 def power_word(r: Word, i: int) -> Word:
     if i < 1:
         raise ValueError("power must be positive")
-    return Word(r.field, [v**i for v in r.symbols], kind=r.kind)
+    return Word(r.field, [pow(v, i, r.field.q) for v in r.symbols], kind=r.kind)
 
 
 def corrupt(c: Word, e: Word) -> Word:
@@ -155,9 +142,9 @@ def random_error(spec: CodeSpec, wt: int, seed: int) -> Word:
     symbols = [0] * spec.n
     for pos in order[:wt]:
         symbols[pos] = 1 + stream.below(spec.field.q - 1)
-    return Word.from_ints(spec.field, symbols, kind="error")
+    return Word(spec.field, symbols, kind="error")
 
 
 def interpolate_word(spec: CodeSpec, w: Word) -> UniPoly:
     """Lagrange polynomial through (locator_i, w_i); degree < n."""
-    return lagrange_interpolate(list(zip(spec.locators, w.symbols)))
+    return lagrange_interpolate(spec.field, list(zip(spec.locators, w.symbols)))

@@ -55,8 +55,7 @@ class ScalingMap:
     def apply_inverse(self, vec, widths) -> list[int]:
         if not self.invertible:
             raise ValueError("scaling map is singular in this characteristic")
-        q = self.field.q
-        inverse = tuple(pow(c, q - 2, q) for c in self.scalars)
+        inverse = tuple(self.field.inv(c) for c in self.scalars)
         return ScalingMap(self.s, self.field, inverse).apply(vec, widths)
 
 

@@ -1,8 +1,9 @@
 """Prime field GF(q) arithmetic.
 
-Elements are canonical residues in [0, q) tied to an owning Field. Each
-field also fixes a primitive element (a generator of the multiplicative
-group), used elsewhere as the default source of code locators.
+Field elements are plain ints, canonically residues in [0, q); a Field
+holds only the modulus, a primitive element (a generator of the
+multiplicative group, used elsewhere as the default source of code
+locators) and the one modular inverse, `Field.inv`.
 """
 
 from __future__ import annotations
@@ -89,19 +90,13 @@ class Field:
                 return a
         raise AssertionError("unreachable: every prime field has a generator")
 
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def alpha(self) -> "FieldElement":
-        return FieldElement(self.primitive_element, self)
+    def inv(self, a: int) -> int:
+        """The inverse of the residue a mod q; 0 has none."""
+        a %= self.q
+        if a == 0:
+            raise ZeroDivisionError(f"0 has no inverse in {self}")
+        # Fermat: a^(q-2) a = a^(q-1) = 1 for a != 0.
+        return pow(a, self.q - 2, self.q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Field):
@@ -114,91 +109,3 @@ class Field:
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
-
-class FieldElement:
-    """A residue mod q. Arithmetic accepts plain ints and coerces them."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: Field):
-        self.value = value % field.q
-        self.field = field
-
-    def _coerce(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.field is self.field or other.field == self.field:
-                return other
-            raise ValueError(f"mixed fields: {self.field} and {other.field}")
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(other, self.field)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.field}")
-        # Fermat: a^(q-2) a = a^(q-1) = 1 for a != 0.
-        return FieldElement(pow(self.value, self.field.q - 2, self.field.q), self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        return FieldElement(pow(self.value, exponent, self.field.q), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.q))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return str(self.value)

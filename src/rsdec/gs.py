@@ -54,8 +54,7 @@ def _constraint_matrix(spec: CodeSpec, r: Word, p: GsParams) -> Mat:
     q = spec.field.q
     widths = p.column_widths()
     rows = []
-    for x0, y0 in zip(spec.locators, r.symbols):
-        xv, yv = x0.value, y0.value
+    for xv, yv in zip(spec.locators, r.symbols):
         max_width = max(widths)
         xpow = [1] * max_width
         for j in range(1, max_width):
@@ -106,7 +105,7 @@ def multiplicity_at(Q: BiPoly, x0, y0) -> int:
     best = None
     for t, p in enumerate(shifted.components):
         for i, c in enumerate(p.coeffs):
-            if c.value != 0 and (best is None or i + t < best):
+            if c != 0 and (best is None or i + t < best):
                 best = i + t
     return best
 

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over a prime field.
 
 Matrices are immutable tuples of int residues in [0, q), and every
-function here takes and returns plain ints: vectors, kernel bases and
-products alike. Elimination runs on one working copy made by
-`_rref_ints`.
+function here takes and returns plain ints, the package's one scalar
+type: vectors, kernel bases and products alike. Elimination runs on
+one working copy made by `_rref_ints`.
 
 The nullspace basis is canonical: for each free column j there is one
 basis vector with a 1 in position j, zeros in the other free positions,

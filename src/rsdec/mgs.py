@@ -54,13 +54,13 @@ def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
         for a, ri in zip(spec.locators, r.symbols):
             xpow = [1] * max_width
             for j in range(1, max_width):
-                xpow[j] = (xpow[j - 1] * a.value) % q
+                xpow[j] = (xpow[j - 1] * a) % q
             row = []
             for t, width in enumerate(widths):
                 if t < b:
                     row.extend([0] * width)
                     continue
-                c = (binom_mod(t, b, q) * pow(ri.value, t - b, q)) % q
+                c = (binom_mod(t, b, q) * pow(ri, t - b, q)) % q
                 row.extend((c * xpow[j]) % q for j in range(width))
             rows.append(row)
     return MgsSystem(Mat(spec.field, rows), s, tau, widths)

@@ -1,16 +1,18 @@
 """Univariate polynomials over a prime field.
 
-Coefficients are stored ascending in degree and normalized so that the
-highest-index entry is nonzero. The zero polynomial stores nothing and
-has degree NEG_INF, a sentinel that compares below every integer, so
-degree-bound checks need no special cases.
+Coefficients are plain int residues in [0, q), stored ascending in
+degree: the constructor reduces every int mod q and strips trailing
+zeros, so the highest-index entry is nonzero. The zero polynomial
+stores nothing and has degree NEG_INF, a sentinel that compares below
+every integer, so degree-bound checks need no special cases.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .field import Field, FieldElement, binom_mod
+from .field import Field, binom_mod
 
 NEG_INF = float("-inf")
 
@@ -18,19 +20,17 @@ NEG_INF = float("-inf")
 class UniPoly:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: Iterable[FieldElement] = ()):
-        cs = list(coeffs)
-        for c in cs:
-            if c.field != field:
-                raise ValueError("coefficient from a different field")
-        while cs and cs[-1].value == 0:
+    def __init__(self, field: Field, coeffs: Iterable[int] = ()):
+        q = field.q
+        cs = [c % q for c in coeffs]
+        while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
 
     @classmethod
     def from_ints(cls, field: Field, ints: Iterable[int]) -> "UniPoly":
-        return cls(field, [field(v) for v in ints])
+        return cls(field, ints)
 
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
@@ -38,15 +38,11 @@ class UniPoly:
 
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.one,))
-
-    @classmethod
-    def constant(cls, c: FieldElement) -> "UniPoly":
-        return cls(c.field, (c,))
+        return cls(field, (1,))
 
     @classmethod
     def x(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.zero, field.one))
+        return cls(field, (0, 1))
 
     @property
     def degree(self):
@@ -55,13 +51,13 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int) -> FieldElement:
+    def coeff(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return self.field.zero
+        return 0
 
     @property
-    def leading(self) -> FieldElement:
+    def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -72,20 +68,18 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._check_same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(self.field, [a + b for a, b in pairs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         self._check_same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(self.field, [a - b for a, b in pairs])
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return UniPoly(self.field, [c * other for c in self.coeffs])
         if isinstance(other, int):
             return UniPoly(self.field, [c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
@@ -93,15 +87,13 @@ class UniPoly:
         self._check_same_field(other)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.field)
-        q = self.field.q
-        a = [c.value for c in self.coeffs]
-        b = [c.value for c in other.coeffs]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        b = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % q
-        return UniPoly.from_ints(self.field, out)
+                    out[i + j] += x * y
+        return UniPoly(self.field, out)
 
     __rmul__ = __mul__
 
@@ -113,29 +105,24 @@ class UniPoly:
             out = out * self
         return out
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
+    def evaluate(self, x: int) -> int:
         acc = 0
         q = self.field.q
-        xv = x.value
         for c in reversed(self.coeffs):
-            acc = (acc * xv + c.value) % q
-        return self.field(acc)
+            acc = (acc * x + c) % q
+        return acc
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        return self * self.leading.inverse()
+        return self * self.field.inv(self.leading)
 
     def hasse(self, a: int) -> "UniPoly":
         """a-th Hasse derivative: coefficient i-a becomes C(i,a) * c_i."""
         if a < 0:
             raise ValueError("derivative order must be nonnegative")
         q = self.field.q
-        out = [
-            self.field(binom_mod(i, a, q) * c.value)
-            for i, c in enumerate(self.coeffs)
-            if i >= a
-        ]
+        out = [binom_mod(i, a, q) * c for i, c in enumerate(self.coeffs) if i >= a]
         return UniPoly(self.field, out)
 
     def __eq__(self, other) -> bool:
@@ -147,7 +134,7 @@ class UniPoly:
         return hash((self.field, self.coeffs))
 
     def __repr__(self) -> str:
-        return f"UniPoly({[c.value for c in self.coeffs]} over {self.field})"
+        return f"UniPoly({list(self.coeffs)} over {self.field})"
 
 
 def split_blocks(field: Field, vec: Sequence[int], widths: Sequence[int]) -> tuple[UniPoly, ...]:
@@ -158,7 +145,7 @@ def split_blocks(field: Field, vec: Sequence[int], widths: Sequence[int]) -> tup
     blocks = []
     at = 0
     for width in widths:
-        blocks.append(UniPoly.from_ints(field, vec[at : at + width]))
+        blocks.append(UniPoly(field, vec[at : at + width]))
         at += width
     return tuple(blocks)
 
@@ -170,9 +157,9 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     a._check_same_field(b)
     field = a.field
     q = field.q
-    bv = [c.value for c in b.coeffs]
-    inv_lead = pow(bv[-1], q - 2, q)
-    rem = [c.value for c in a.coeffs]
+    bv = b.coeffs
+    inv_lead = field.inv(bv[-1])
+    rem = list(a.coeffs)
     if len(rem) < len(bv):
         return UniPoly.zero(field), a
     quot = [0] * (len(rem) - len(bv) + 1)
@@ -185,35 +172,35 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         quot[d] = fac
         for i in range(len(bv)):
             rem[d + i] = (rem[d + i] - fac * bv[i]) % q
-    return UniPoly.from_ints(field, quot), UniPoly.from_ints(field, rem)
+    return UniPoly(field, quot), UniPoly(field, rem)
 
 
-def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> UniPoly:
+def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> UniPoly:
     """The unique polynomial of degree < len(points) through the points."""
     if not points:
         raise ValueError("need at least one point")
-    field = points[0][0].field
-    xs = [p[0] for p in points]
-    if len({x.value for x in xs}) != len(xs):
+    q = field.q
+    xs = [x % q for x, _ in points]
+    if len(set(xs)) != len(xs):
         raise ValueError("duplicate x-coordinate")
     total = UniPoly.zero(field)
-    for i, (xi, yi) in enumerate(points):
-        if yi.value == 0:
+    for i, (_, yi) in enumerate(points):
+        if yi % q == 0:
             continue
-        basis = UniPoly.constant(yi)
-        denom = field.one
-        for j, (xj, _) in enumerate(points):
+        basis = UniPoly(field, (yi,))
+        denom = 1
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
-            basis = basis * UniPoly(field, (-xj, field.one))
-            denom = denom * (xi - xj)
-        total = total + basis * denom.inverse()
+            basis = basis * UniPoly(field, (-xj, 1))
+            denom = denom * (xs[i] - xj) % q
+        total = total + basis * field.inv(denom)
     return total
 
 
-def locator_poly(field: Field, roots: Iterable[FieldElement]) -> UniPoly:
+def locator_poly(field: Field, roots: Iterable[int]) -> UniPoly:
     """Monic product of (x - root); the empty product is 1."""
     out = UniPoly.one(field)
     for r in roots:
-        out = out * UniPoly(field, (-r, field.one))
+        out = out * UniPoly(field, (-r, 1))
     return out

@@ -68,7 +68,7 @@ class StackedSolution:
         for p, width in zip(self.components, widths):
             if p.degree >= width:
                 raise ValueError("component degree exceeds its block width")
-            out.extend(p.coeff(j).value for j in range(width))
+            out.extend(p.coeff(j) for j in range(width))
         return out
 
 
@@ -82,7 +82,7 @@ def build_Mi(spec: CodeSpec, tau: int, i: int) -> Mat:
     for a in spec.locators:
         row = [1] * width
         for j in range(1, width):
-            row[j] = (row[j - 1] * a.value) % q
+            row[j] = (row[j - 1] * a) % q
         rows.append(row)
     return Mat(spec.field, rows)
 
@@ -114,7 +114,7 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
             for v in mi.rows[j]:
                 row[at] = -v % q
                 at += 1
-            ri = pow(r.symbols[j].value, i, q)
+            ri = pow(r.symbols[j], i, q)
             at = starts[s]
             for v in m0.rows[j]:
                 row[at] = (ri * v) % q

@@ -41,8 +41,7 @@ def wb_build(spec: CodeSpec, r: Word) -> WbSystem:
     width1 = spec.n - tau0 - spec.k + 1
     q = spec.field.q
     rows = []
-    for a, ri in zip(spec.locators, r.symbols):
-        av, rv = a.value, ri.value
+    for av, rv in zip(spec.locators, r.symbols):
         powers = [1] * max(width0, width1)
         for j in range(1, len(powers)):
             powers[j] = (powers[j - 1] * av) % q

@@ -97,6 +97,12 @@ def test_bad_invocations(tmp_path, capsys):
     assert run(capsys, "decode", "--method", "wb", "--in", str(tmp_path / "missing"), "--k", "4")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 17, "n": 16, "k": 4, "s": 2, "weights": [7], "trials": 1, "seed": 5}))
+    for threads in ("0", "-3"):
+        code, stdout, err = run(capsys, "mc", "--config", str(cfg), f"--threads={threads}")
+        assert (code, stdout) == (1, "")
+        assert f"--threads must be at least 1, got {threads}" in err
 
 
 def test_word_file_comments_and_blanks(tmp_path, capsys):
@@ -154,6 +160,15 @@ def test_word_parser_rejects_residue_out_of_range(tmp_path, capsys, word, data):
     code, stdout, err = run(capsys, "encode", "--q", str(q), "--n", "1", "--k", "1", f"--f={','.join(map(str, values))}")
     assert (code, stdout) == (1, "")
     assert message in err
+    # so does a token that is not a decimal integer, in both places
+    tokens = [str(v) for v in values]
+    tokens[at] = f"{bad}.5"
+    path.write_text(f"{q}\n{' '.join(tokens)}\n")
+    with pytest.raises(ValueError, match="residues must be decimal integers"):
+        read_word_file(str(path))
+    code, stdout, err = run(capsys, "encode", "--q", str(q), "--n", "1", "--k", "1", f"--f={','.join(tokens)}")
+    assert (code, stdout) == (1, "")
+    assert "--f: residues must be decimal integers" in err
 
 
 def test_bad_words_exit_1_and_name_the_problem(tmp_path, capsys):

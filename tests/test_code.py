@@ -25,7 +25,7 @@ F7 = Field(7)
 
 def test_default_locators_are_primitive_powers():
     spec = ex.code()
-    assert [a.value for a in spec.locators] == ex.LOCATORS
+    assert list(spec.locators) == ex.LOCATORS
 
 
 def test_encode_worked_example():
@@ -72,11 +72,16 @@ def test_codespec_validation():
     with pytest.raises(ValueError):
         CodeSpec(F7, 3, 4)  # k above n
     with pytest.raises(ValueError):
-        CodeSpec(F7, 2, 1, locators=(F7(0), F7(1)))
+        CodeSpec(F7, 2, 1, locators=(0, 1))
     with pytest.raises(ValueError):
-        CodeSpec(F7, 2, 1, locators=(F7(3), F7(3)))
+        CodeSpec(F7, 2, 1, locators=(3, 3))
     with pytest.raises(ValueError):
-        CodeSpec(F7, 2, 1, locators=(F7(3),))
+        CodeSpec(F7, 2, 1, locators=(3,))
+    # locators are residues in (0, q), never reduced: 8 would alias 1
+    for bad in [(1, 7), (1, 8), (-1, 1), (1.0, 2)]:
+        with pytest.raises(ValueError):
+            CodeSpec(F7, 2, 1, locators=bad)
+    assert CodeSpec(F7, 2, 1, locators=(6, 1)).locators == (6, 1)
 
 
 def test_minimum_distance_attribute():
@@ -121,6 +126,9 @@ def test_word_equality_ignores_kind():
     b = Word.from_ints(F7, [1, 2], kind="error")
     assert a == b
     assert hash(a) == hash(b)
+    # symbols are reduced mod q on construction
+    assert Word(F7, [7, -1]).symbols == (0, 6)
+    assert Word(F7, [8, 9], kind="error") == a
     with pytest.raises(ValueError):
         Word.from_ints(F7, [1], kind="mystery")
 

@@ -115,7 +115,7 @@ def test_nullspace_equivalence_no_errors_higher_dimension():
 def test_stack_maps_to_power_factor_coefficients():
     # D sends the stacked solution (Lam f^2, Lam f, Lam) to the coefficient
     # blocks of Lam (y - f)^2 listed by ascending y-degree
-    lam = locator_poly(F17, [F17(3), F17(9), F17(4)])
+    lam = locator_poly(F17, [3, 9, 4])
     f = UniPoly.from_ints(F17, [2, 0, 5, 1])
     stack = StackedSolution.from_pair(lam, f, 2)
     widths = ex.WIDTHS
@@ -126,7 +126,7 @@ def test_stack_maps_to_power_factor_coefficients():
     for t, w in enumerate(widths):
         got = image[offset : offset + w]
         comp = W.component(t)
-        want = [comp.coeff(i).value for i in range(w)]
+        want = [comp.coeff(i) for i in range(w)]
         assert got == want
         offset += w
 
@@ -144,7 +144,7 @@ def test_shape_and_singularity_errors():
 
 def test_singular_scaling_rejected_by_build():
     F2 = Field(2)
-    spec = CodeSpec(F2, 1, 1, locators=(F2(1),))
+    spec = CodeSpec(F2, 1, 1, locators=(1,))
     r = corrupt(encode(spec, UniPoly.one(F2)), random_error(spec, 0, 0))
     with pytest.raises(ValueError):
         build_B(spec, r, 2, 0)

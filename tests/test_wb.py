@@ -49,7 +49,7 @@ def test_wb_build_zero_word_kills_locator_block():
 
 def test_wb_build_all_ones_row():
     F = Field(5)
-    spec = CodeSpec(F, 1, 1, locators=(F(1),))
+    spec = CodeSpec(F, 1, 1, locators=(1,))
     system = wb_build(spec, Word.from_ints(F, [1]))
     assert system.matrix.rows == ((1, 1),)
 
@@ -59,9 +59,9 @@ def test_wb_build_rows_encode_evaluation():
     system = wb_build(spec, r)
     for i, (a, ri) in enumerate(zip(spec.locators, r.symbols)):
         row = system.matrix.rows[i]
-        assert row[: system.width0] == tuple(pow(a.value, j, 17) for j in range(10))
+        assert row[: system.width0] == tuple(pow(a, j, 17) for j in range(10))
         assert row[system.width0 :] == tuple(
-            ri.value * pow(a.value, j, 17) % 17 for j in range(7)
+            ri * pow(a, j, 17) % 17 for j in range(7)
         )
 
 
@@ -73,7 +73,7 @@ def test_decode_at_full_radius():
     assert out.f == f
     assert out.corrected == c
     assert out.error_positions == (0, 1, 2, 3, 4, 5)
-    assert out.locator.leading.value == 1
+    assert out.locator.leading == 1
 
 
 def test_decode_error_free_word():
@@ -92,7 +92,7 @@ def test_decode_random_patterns_within_radius(wt, seed):
     out = wb_decode(spec, corrupt(c, e))
     assert out.success
     assert out.f == f
-    assert set(out.error_positions) == {i for i, v in enumerate(e.symbols) if v.value != 0}
+    assert set(out.error_positions) == {i for i, v in enumerate(e.symbols) if v != 0}
 
 
 @given(st.integers(0, 2**32))
