@@ -145,6 +145,8 @@ def _cmd_dump(args) -> int:
     q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
     if args.matrix == "wb":
+        if args.tau is not None:
+            raise ValueError("--tau does not apply to --matrix wb, whose radius is (n - k) // 2")
         matrix = wb_build(spec, word).matrix
     else:
         tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, args.s)

@@ -176,31 +176,37 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 
 def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the points."""
+    """The unique polynomial of degree < len(points) through the points.
+
+    With G = prod (x - x_i) the result is sum_i y_i G_i / G_i(x_i), where
+    G_i = G / (x - x_i): G is built once and each G_i is one synthetic
+    division, so n points cost O(n^2).
+    """
     if not points:
         raise ValueError("need at least one point")
     q = field.q
     xs = [x % q for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x-coordinate")
-    total = UniPoly.zero(field)
-    for i, (_, yi) in enumerate(points):
-        if yi % q == 0:
+    n = len(xs)
+    G = locator_poly(field, xs).coeffs
+    total = [0] * n
+    for x, (_, y) in zip(xs, points):
+        if y % q == 0:
             continue
-        basis = UniPoly(field, (yi,))
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * UniPoly(field, (-xj, 1))
-            denom = denom * (xs[i] - xj) % q
-        total = total + basis * field.inv(denom)
-    return total
+        quot = [0] * n
+        acc = 0
+        for m in range(n - 1, -1, -1):
+            quot[m] = acc = (G[m + 1] + x * acc) % q
+        scale = y * field.inv(UniPoly(field, quot).evaluate(x))
+        total = [t + scale * c for t, c in zip(total, quot)]
+    return UniPoly(field, total)
 
 
 def locator_poly(field: Field, roots: Iterable[int]) -> UniPoly:
     """Monic product of (x - root); the empty product is 1."""
-    out = UniPoly.one(field)
+    q = field.q
+    out = [1]
     for r in roots:
-        out = out * UniPoly(field, (-r, 1))
-    return out
+        out = [(a - r * b) % q for a, b in zip([0] + out, out + [0])]
+    return UniPoly(field, out)

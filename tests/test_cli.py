@@ -103,6 +103,19 @@ def test_bad_invocations(tmp_path, capsys):
         code, stdout, err = run(capsys, "mc", "--config", str(cfg), f"--threads={threads}")
         assert (code, stdout) == (1, "")
         assert f"--threads must be at least 1, got {threads}" in err
+    path = write_received(tmp_path)
+    for argv in (
+        ("dump", "--matrix", "A", "--tau", "-3"),
+        ("dump", "--matrix", "Bbar", "--tau", "-1"),
+        ("dump", "--matrix", "B", "--tau", "-1"),
+        ("equiv", "--tau", "-1"),
+    ):
+        code, stdout, err = run(capsys, *argv, "--in", path, "--k", "4")
+        assert (code, stdout) == (1, "")
+        assert "radius must be nonnegative" in err
+    code, stdout, err = run(capsys, "dump", "--matrix", "wb", "--tau", "5", "--in", path, "--k", "4")
+    assert (code, stdout) == (1, "")
+    assert "--tau does not apply to --matrix wb" in err
 
 
 def test_word_file_comments_and_blanks(tmp_path, capsys):

@@ -132,6 +132,17 @@ def test_lagrange_recovers_low_degree_poly(xs, data):
     assert lagrange_interpolate(F17, pts) == p
 
 
+def test_lagrange_recovers_a_poly_through_rs128_locators():
+    # RS(128,8)/GF(257) size: the key-equation decoders interpolate here
+    F = Field(257)
+    p = mkpoly(F, [(7 * i + 3) % 257 for i in range(101)])
+    pts = [(pow(3, i, 257), p.evaluate(pow(3, i, 257))) for i in range(128)]
+    assert lagrange_interpolate(F, pts) == p
+    # y is reduced mod q
+    shifted = [(x, y + 257 * (x % 5 - 2)) for x, y in pts]
+    assert lagrange_interpolate(F, shifted) == p
+
+
 def test_lagrange_rejects_duplicate_points():
     with pytest.raises(ValueError):
         lagrange_interpolate(F7, [(1, 1), (1, 2)])
