@@ -132,12 +132,15 @@ def _cmd_corrupt(args) -> int:
 def _cmd_decode(args) -> int:
     q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
+    s = 1 if args.s is None else args.s
     if args.method == "wb":
+        if args.s is not None:
+            raise ValueError("--s does not apply to --method wb")
         outcome = wb_decode(spec, word)
     elif args.method == "virs":
-        outcome = virs_decode(spec, word, args.s)
+        outcome = virs_decode(spec, word, s)
     else:
-        outcome = mgs_decode(spec, word, args.s)
+        outcome = mgs_decode(spec, word, s)
     return _report(outcome)
 
 
@@ -220,7 +223,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("wb", "virs", "mgs"), required=True)
     p.add_argument("--in", dest="infile", type=str, required=True)
     _add_code_flags(p)
-    p.add_argument("--s", type=int, default=1, help="interleaving/multiplicity order")
+    p.add_argument("--s", type=int, default=None, help="interleaving/multiplicity order (default 1; not for wb)")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("dump", help="print a constraint matrix")

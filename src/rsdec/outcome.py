@@ -1,11 +1,15 @@
 """Decoder result type and the stages shared by every decoder.
 
-Every decoder runs the same pipeline: build its system, take the
-kernel, `select_stack`, split the stack into (Lambda, f) with
-`bivariate.split_progression`, and accept through `conclude`. The
-decoders differ only in the system and in the block scalars c of a
-decodable stack Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for
-mgs and D(1) for wb (the last two through `extract_power_factor`).
+Every decoder runs the same pipeline: take a basis of its solution
+space (elimination of the key equation for virs and wb, Koetter
+interpolation for mgs), `select_stack`, split the stack into
+(Lambda, f) with `bivariate.split_progression`, and accept through
+`conclude`. The decoders differ only in how they reach the space and in
+the block scalars c of a decodable stack Q^(t) = c_t Lambda f^(s-t):
+ones for virs, D(s) for mgs and D(1) for wb (the last two through
+`extract_power_factor`). `select_stack` depends on the space only, not
+on the basis it is given: the locator is the unique monic top block of
+lowest degree.
 """
 
 from __future__ import annotations
@@ -37,19 +41,36 @@ class DecodeOutcome:
 
 
 def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
-    """Blocks of the first kernel vector whose top block has the lowest
-    degree among the nonzero ones; FactorError("shape") when there is none."""
+    """Blocks of the kernel vector whose top block has the lowest degree,
+    scaled to make that block monic; FactorError("shape") when every top
+    block is zero.
+
+    The top blocks are first reduced against each other until no two
+    share a degree, so the locator does not depend on the basis given.
+    On a canonical `nullspace` basis the top degree of each vector is its
+    own free column, the degrees are already distinct and the leading
+    coefficients already 1, so the vector is returned as given.
+    """
     if not kernel:
         raise FactorError("shape", "interpolation system has no nonzero solution")
+    q = field.q
     top = sum(widths[:-1])
-    best = best_deg = None
+    by_degree = {}
     for vec in kernel:
-        deg = next((j for j in range(len(vec) - 1, top - 1, -1) if vec[j]), None)
-        if deg is not None and (best is None or deg < best_deg):
-            best, best_deg = vec, deg
-    if best is None:
+        while True:
+            deg = next((j for j in range(len(vec) - 1, top - 1, -1) if vec[j]), None)
+            if deg not in by_degree:
+                break
+            c = vec[deg]
+            vec = [(u - c * v) % q for u, v in zip(vec, by_degree[deg])]
+        if deg is not None:
+            if vec[deg] != 1:
+                inv = field.inv(vec[deg])
+                vec = [u * inv % q for u in vec]
+            by_degree[deg] = vec
+    if not by_degree:
         raise FactorError("shape", "no solution with nonzero locator component")
-    return split_blocks(field, best, widths)
+    return split_blocks(field, by_degree[min(by_degree)], widths)
 
 
 def conclude(

@@ -116,6 +116,13 @@ def test_bad_invocations(tmp_path, capsys):
     code, stdout, err = run(capsys, "dump", "--matrix", "wb", "--tau", "5", "--in", path, "--k", "4")
     assert (code, stdout) == (1, "")
     assert "--tau does not apply to --matrix wb" in err
+    code, stdout, err = run(capsys, "decode", "--method", "wb", "--s", "3", "--in", path, "--k", "4")
+    assert (code, stdout) == (1, "")
+    assert "--s does not apply to --method wb" in err
+    for method in ("virs", "mgs"):
+        code, stdout, err = run(capsys, "decode", "--method", method, "--s", "0", "--in", path, "--k", "4")
+        assert (code, stdout) == (1, "")
+        assert "order 0 infeasible for (n, k) = (16, 4)" in err
 
 
 def test_word_file_comments_and_blanks(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import random
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import gf17_example as ex
+import rsdec.linalg
 from rsdec import (
     BiPoly,
     CodeSpec,
@@ -11,6 +15,7 @@ from rsdec import (
     Field,
     UniPoly,
     Word,
+    block_widths,
     build_Bbar,
     corrupt,
     encode,
@@ -19,6 +24,7 @@ from rsdec import (
     hasse_mixed,
     hasse_y,
     interpolate_word,
+    locator_poly,
     mgs_decode,
     mgs_interpolate,
     multiplicity_at,
@@ -30,7 +36,8 @@ from rsdec import (
     virs_radius,
     wb_decode,
 )
-from rsdec.outcome import conclude
+from rsdec.mgs import interpolation_kernel
+from rsdec.outcome import conclude, select_stack
 
 F17 = Field(17)
 
@@ -159,6 +166,24 @@ def test_order_divides_characteristic_rejected():
         mgs_decode(spec, r, 3)
 
 
+def test_infeasible_order_is_named_before_the_characteristic():
+    # s = 0 is divisible by every characteristic, but the order itself is
+    # what is wrong, and virs says so in the same words
+    spec, _, _, r = ex.instance()
+    for decode in (mgs_decode, mgs_interpolate):
+        with pytest.raises(ValueError, match=r"order 0 infeasible for \(n, k\) = \(16, 4\)"):
+            decode(spec, r, 0)
+
+
+@pytest.mark.parametrize("length", [15, 17])
+def test_word_length_must_equal_n(length):
+    spec = ex.code()
+    r = Word.from_ints(F17, [1] * length, kind="received")
+    for decode in (mgs_decode, mgs_interpolate):
+        with pytest.raises(ValueError, match="word length must equal n"):
+            decode(spec, r, 2)
+
+
 def test_derivative_cascade():
     # peeling one y-derivative off Lam*(y-f)^s leaves s*Lam*(y-f)^(s-1)
     spec, f, _, r = ex.instance()
@@ -240,3 +265,131 @@ def test_triple_order_decode(seed, wt):
     assert out.success and out.f == f
     Q = mgs_interpolate(spec, r, 3)
     assert Q == power_factor_poly(Q.component(3), f, 3)
+
+
+# (q, n, k, s): n - k odd and even, block 0 wider than n (RS(15,4) s=3,
+# RS(16,4) s=5), k = n, and s >= q over GF(3) and GF(5), where some
+# C(t, b) vanish mod q
+CODES = [
+    (11, 7, 2, 3),
+    (17, 16, 4, 2),
+    (17, 15, 4, 3),
+    (17, 16, 4, 5),
+    (13, 6, 6, 1),
+    (3, 2, 1, 4),
+    (5, 4, 1, 6),
+]
+
+
+@st.composite
+def received_words(draw):
+    q, n, k, s = draw(st.sampled_from(CODES))
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    f = UniPoly.from_ints(F, draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k)))
+    e = random_error(spec, draw(st.integers(0, n)), draw(st.integers(0, 2**32)))
+    return spec, corrupt(encode(spec, f), e), s
+
+
+def dense_mgs(spec, r, s):
+    """The pipeline on B-bar itself: build, eliminate, select, extract, conclude."""
+    tau = virs_radius(spec.n, spec.k, s)
+    kernel = nullspace(build_Bbar(spec, r, s, tau).matrix)
+    try:
+        Q = BiPoly(spec.field, select_stack(spec.field, kernel, block_widths(spec.k, s, tau)))
+    except FactorError as err:
+        return DecodeOutcome.failure(str(err), len(kernel)), None
+    try:
+        locator, f = extract_power_factor(Q, s, spec.k)
+    except FactorError as err:
+        return DecodeOutcome.failure(str(err), len(kernel)), Q
+    return conclude(spec, r, tau, locator, f, len(kernel)), Q
+
+
+def summary(out):
+    return (out.success, out.f, out.locator, out.reason, out.kernel_dim, out.error_positions)
+
+
+@given(received_words())
+def test_interpolation_kernel_spans_the_dense_kernel(case):
+    spec, r, s = case
+    tau = virs_radius(spec.n, spec.k, s)
+    Bbar = build_Bbar(spec, r, s, tau).matrix
+    kernel = interpolation_kernel(spec, r, block_widths(spec.k, s, tau))
+    assert len(kernel) == len(nullspace(Bbar))
+    assert all(not any(Bbar.mulvec(v)) for v in kernel)
+    # linearly independent, so the span is all of ker B-bar
+    assert not kernel or len(nullspace(rsdec.linalg.Mat(spec.field, kernel))) == Bbar.ncols - len(kernel)
+
+
+@given(received_words())
+def test_decode_matches_the_dense_pipeline(case):
+    spec, r, s = case
+    out = mgs_decode(spec, r, s)
+    ref, Q = dense_mgs(spec, r, s)
+    assert summary(out) == summary(ref)
+    if Q is not None:
+        assert mgs_interpolate(spec, r, s) == Q
+
+
+@given(received_words(), st.integers(0, 2**32))
+def test_select_stack_does_not_depend_on_the_basis(case, seed):
+    # recombine the canonical basis by a random invertible L U; the locator
+    # must come out the same, and the lower blocks the same modulo
+    # G = prod (x - alpha_j), the only freedom a zero locator leaves
+    spec, r, s = case
+    q = spec.field.q
+    tau = virs_radius(spec.n, spec.k, s)
+    widths = block_widths(spec.k, s, tau)
+    basis = nullspace(build_Bbar(spec, r, s, tau).matrix)
+    rng = random.Random(seed)
+    d = len(basis)
+    lower = [[rng.randrange(q) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[rng.randrange(1, q) if j == i else rng.randrange(q) * (j > i) for j in range(d)] for i in range(d)]
+    mix = [[sum(lower[i][m] * upper[m][j] for m in range(d)) % q for j in range(d)] for i in range(d)]
+    mixed = [[sum(c * v[col] for c, v in zip(row, basis)) % q for col in range(len(basis[0]))] for row in mix]
+    try:
+        expect = select_stack(spec.field, basis, widths)
+    except FactorError as err:
+        with pytest.raises(FactorError, match=re.escape(str(err))):
+            select_stack(spec.field, mixed, widths)
+        return
+    got = select_stack(spec.field, mixed, widths)
+    G = locator_poly(spec.field, spec.locators)
+    assert got[-1] == expect[-1] and got[-1].leading == 1
+    assert [poly_divrem(p, G)[1] for p in got] == list(expect)
+
+
+def test_wide_block_is_reduced_to_the_canonical_vector():
+    # RS(15,4), s=3: block 0 has 16 columns, one more than n. The kernel
+    # vector selected from the Koetter span reaches degree n there; modulo
+    # G it is the canonical vector, and only that one splits
+    F = Field(17)
+    spec = CodeSpec(F, 15, 4)
+    f = UniPoly.from_ints(F, [1, 2, 3, 4])
+    r = corrupt(encode(spec, f), random_error(spec, 3, 5))
+    widths = block_widths(4, 3, virs_radius(15, 4, 3))
+    assert widths[0] == 16
+    assert select_stack(F, interpolation_kernel(spec, r, widths), widths)[0].degree == 15
+    _, Q = dense_mgs(spec, r, 3)
+    assert mgs_interpolate(spec, r, 3) == Q
+    assert mgs_decode(spec, r, 3).f == f
+
+
+def test_decode_eliminates_nothing(monkeypatch):
+    # RS(64,8), s=2: B-bar would be a 128 x 129 elimination
+    calls = []
+    original = rsdec.linalg._rref_ints
+
+    def recording(rows, q):
+        calls.append((len(rows), len(rows[0])))
+        return original(rows, q)
+
+    monkeypatch.setattr(rsdec.linalg, "_rref_ints", recording)
+    F = Field(257)
+    spec = CodeSpec(F, 64, 8)
+    f = UniPoly.from_ints(F, range(1, 9))
+    r = corrupt(encode(spec, f), random_error(spec, 20, 3))
+    assert mgs_decode(spec, r, 2).f == f
+    assert extract_power_factor(mgs_interpolate(spec, r, 2), 2, 8)[1] == f
+    assert calls == []
