@@ -42,7 +42,7 @@ def main():
 
     f = UniPoly.from_ints(F, [1, 1, 1, 1])
     c = encode(spec, f)
-    e = Word.from_ints(F, [1, 2, 3, 4, 5, 6, 7] + [0] * 9, kind="error")
+    e = Word.from_ints(F, [1, 2, 3, 4, 5, 6, 7] + [0] * 9)
     r = corrupt(c, e)
     print("f :", fmt(f))
     print("c :", " ".join(map(str, c.to_ints())))
@@ -69,7 +69,7 @@ def main():
     same = nullspace_equivalence(A, sysb.matrix, D, sysb.widths)
     print(f"system A: {A.nrows}x{A.ncols}, dim null = {len(nullspace(A))}")
     print(f"system Bbar: {sysb.matrix.nrows}x{sysb.matrix.ncols}, dim null = {len(nullspace(sysb.matrix))}")
-    print(f"diagonal scalars: {D.scalars}")
+    print(f"diagonal scalars: {D}")
     print(f"solution spaces identical under D: {same}")
 
 

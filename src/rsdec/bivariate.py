@@ -197,15 +197,6 @@ def substitute_y(Q: BiPoly, g: UniPoly) -> UniPoly:
     return acc
 
 
-def power_factor_poly(W: UniPoly, f: UniPoly, s: int) -> BiPoly:
-    """W(x) * (y - f(x))^s, expanded into y-components."""
-    if W.field != f.field:
-        raise ValueError("mixed fields")
-    field = W.field
-    y_minus_f = BiPoly(field, (-f, UniPoly.one(field)))
-    return BiPoly.from_uni(W) * y_minus_f ** s
-
-
 def scaling_scalars(s: int, q: int) -> tuple[int, ...]:
     """Block-t scalar (-1)^(s-t) C(s, t) mod q of the map D(s), t = 0..s:
     the y^t coefficient of Lambda (y - f)^s is D_t Lambda f^(s-t)."""

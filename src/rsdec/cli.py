@@ -120,7 +120,7 @@ def _cmd_corrupt(args) -> int:
         eq, evals = read_word_file(args.e)
         if eq != q:
             raise ValueError("error word lives in a different field")
-        error = Word.from_ints(field, evals, kind="error")
+        error = Word.from_ints(field, evals)
     else:
         # only n and q matter here; dimension 1 is a placeholder
         spec = CodeSpec(field, len(residues), 1)
@@ -150,7 +150,7 @@ def _cmd_dump(args) -> int:
     if args.matrix == "wb":
         if args.tau is not None:
             raise ValueError("--tau does not apply to --matrix wb, whose radius is (n - k) // 2")
-        matrix = wb_build(spec, word).matrix
+        matrix = wb_build(spec, word)
     else:
         tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, args.s)
         if args.matrix == "A":

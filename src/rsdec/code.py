@@ -53,27 +53,17 @@ class CodeSpec:
 
 
 class Word:
-    """A length-n vector of int residues mod q with a role tag.
+    """A length-n vector of int residues mod q, reduced on construction."""
 
-    The tag records what the word is for (codeword, received, error);
-    equality looks only at the symbols so a re-encoded codeword compares
-    equal to the transmitted one regardless of tagging.
-    """
+    __slots__ = ("field", "symbols")
 
-    __slots__ = ("field", "symbols", "kind")
-
-    KINDS = ("codeword", "received", "error")
-
-    def __init__(self, field: Field, symbols: Iterable[int], kind: str = "received"):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown word kind {kind!r}")
+    def __init__(self, field: Field, symbols: Iterable[int]):
         self.field = field
         self.symbols = tuple(v % field.q for v in symbols)
-        self.kind = kind
 
     @classmethod
-    def from_ints(cls, field: Field, ints: Iterable[int], kind: str = "received") -> "Word":
-        return cls(field, ints, kind)
+    def from_ints(cls, field: Field, ints: Iterable[int]) -> "Word":
+        return cls(field, ints)
 
     def to_ints(self) -> list[int]:
         return list(self.symbols)
@@ -96,7 +86,7 @@ class Word:
         return hash((self.field, self.symbols))
 
     def __repr__(self) -> str:
-        return f"Word({self.to_ints()}, kind={self.kind!r})"
+        return f"Word({self.to_ints()})"
 
 
 def weight(w: Word) -> int:
@@ -112,13 +102,13 @@ def encode(spec: CodeSpec, f: UniPoly) -> Word:
         raise ValueError("mixed fields")
     if f.degree >= spec.k:
         raise ValueError(f"message degree {f.degree} >= dimension {spec.k}")
-    return Word(spec.field, [f.evaluate(a) for a in spec.locators], kind="codeword")
+    return Word(spec.field, [f.evaluate(a) for a in spec.locators])
 
 
 def power_word(r: Word, i: int) -> Word:
     if i < 1:
         raise ValueError("power must be positive")
-    return Word(r.field, [pow(v, i, r.field.q) for v in r.symbols], kind=r.kind)
+    return Word(r.field, [pow(v, i, r.field.q) for v in r.symbols])
 
 
 def corrupt(c: Word, e: Word) -> Word:
@@ -126,7 +116,7 @@ def corrupt(c: Word, e: Word) -> Word:
         raise ValueError("length mismatch")
     if c.field != e.field:
         raise ValueError("mixed fields")
-    return Word(c.field, [a + b for a, b in zip(c.symbols, e.symbols)], kind="received")
+    return Word(c.field, [a + b for a, b in zip(c.symbols, e.symbols)])
 
 
 def random_error(spec: CodeSpec, wt: int, seed: int) -> Word:
@@ -142,7 +132,7 @@ def random_error(spec: CodeSpec, wt: int, seed: int) -> Word:
     symbols = [0] * spec.n
     for pos in order[:wt]:
         symbols[pos] = 1 + stream.below(spec.field.q - 1)
-    return Word(spec.field, symbols, kind="error")
+    return Word(spec.field, symbols)
 
 
 def interpolate_word(spec: CodeSpec, w: Word) -> UniPoly:

@@ -90,11 +90,6 @@ def _rref_ints(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], 
     return work, pivots
 
 
-def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    reduced, pivots = _rref_ints(mat.rows, mat.field.q)
-    return Mat(mat.field, reduced), tuple(pivots)
-
-
 def rank(mat: Mat) -> int:
     _, pivots = _rref_ints(mat.rows, mat.field.q)
     return len(pivots)

@@ -18,8 +18,10 @@ gives the whole solution space from s + 1 polynomials updated point by
 point; `select_stack` picks the locator from that span, and the lower
 blocks are reduced mod prod (x - alpha_j) to the canonical kernel
 vector, so every outcome and reason is the dense pipeline's. This route
-shares nothing with the syndrome side of virs and wb. `build_Bbar`
-stays as the tested oracle of `rsdec equiv`, `rsdec dump` and `mc`.
+(`interpolation_decode`) shares nothing with the syndrome side of virs.
+wb runs it too, at s = 1 on its own caps: the wb system is B-bar's rows
+at s = 1. `build_Bbar` stays as the tested oracle of `rsdec equiv`,
+`rsdec dump` and `mc`.
 """
 
 from __future__ import annotations
@@ -150,17 +152,23 @@ def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
     return _select(spec, interpolation_kernel(spec, r, widths), widths)
 
 
+def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths) -> DecodeOutcome:
+    """Decode on the interpolation side: Koetter's span of the system with
+    `widths`, `_select`, then the split Q = Lambda (y - f)^s with
+    s = len(widths) - 1, accepted within radius tau."""
+    kernel = interpolation_kernel(spec, r, widths)
+    try:
+        locator, f = extract_power_factor(_select(spec, kernel, widths), len(widths) - 1, spec.k)
+    except FactorError as err:
+        return DecodeOutcome.failure(str(err), len(kernel))
+    return conclude(spec, r, tau, locator, f, len(kernel))
+
+
 def mgs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     tau = virs_radius(spec.n, spec.k, s)
     if s % spec.field.q == 0:
         raise ValueError("field characteristic divides the interpolation order")
-    widths = block_widths(spec.k, s, tau)
-    kernel = interpolation_kernel(spec, r, widths)
-    try:
-        locator, f = extract_power_factor(_select(spec, kernel, widths), s, spec.k)
-    except FactorError as err:
-        return DecodeOutcome.failure(str(err), len(kernel))
-    return conclude(spec, r, tau, locator, f, len(kernel))
+    return interpolation_decode(spec, r, tau, block_widths(spec.k, s, tau))
 
 
 def errorfree_divisibility_check(

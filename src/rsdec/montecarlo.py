@@ -24,6 +24,10 @@ from .wb import wb_build, wb_decode
 METHODS = ("wb", "virs", "mgs")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     q: int
@@ -37,6 +41,13 @@ class ExperimentConfig:
     alpha: int | None = None
 
     def __post_init__(self):
+        for key in ("q", "n", "k", "s", "trials", "seed", "alpha"):
+            value = getattr(self, key)
+            if not _is_int(value) and not (key == "alpha" and value is None):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("weights", "methods"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.trials < 1:
@@ -46,10 +57,16 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"duplicate methods in {list(self.methods)}")
         spec = self.code_spec()
         for w in self.weights:
+            if not _is_int(w):
+                raise ValueError(f"weights must be integers, got {w!r}")
             if not (0 <= w <= self.n):
                 raise ValueError(f"weight {w} out of range [0, {self.n}]")
+        if len(set(self.weights)) != len(self.weights):
+            raise ValueError(f"duplicate weights in {list(self.weights)}")
         if ("virs" in self.methods or "mgs" in self.methods) and not feasible(
             self.n, self.k, self.s
         ):
@@ -77,10 +94,10 @@ class ExperimentConfig:
             n=raw["n"],
             k=raw["k"],
             s=raw["s"],
-            weights=tuple(raw["weights"]),
+            weights=raw["weights"],
             trials=raw["trials"],
             seed=raw["seed"],
-            methods=tuple(raw.get("methods", METHODS)),
+            methods=raw.get("methods", METHODS),
             alpha=raw.get("alpha"),
         )
 
@@ -135,7 +152,7 @@ def run_trial(cfg: ExperimentConfig, spec: CodeSpec, weight: int, trial: int) ->
         tau = virs_radius(cfg.n, cfg.k, cfg.s)
         dim = len(nullspace(build_Bbar(spec, r, cfg.s, tau).matrix))
     else:
-        dim = len(nullspace(wb_build(spec, r).matrix))
+        dim = len(nullspace(wb_build(spec, r)))
     return TrialRecord(
         weight=weight,
         trial=trial,

@@ -1,12 +1,13 @@
 """Decoder result type and the stages shared by every decoder.
 
 Every decoder runs the same pipeline: take a basis of its solution
-space (elimination of the key equation for virs and wb, Koetter
-interpolation for mgs), `select_stack`, split the stack into
-(Lambda, f) with `bivariate.split_progression`, and accept through
-`conclude`. The decoders differ only in how they reach the space and in
-the block scalars c of a decodable stack Q^(t) = c_t Lambda f^(s-t):
-ones for virs, D(s) for mgs and D(1) for wb (the last two through
+space, `select_stack`, split the stack into (Lambda, f) with
+`bivariate.split_progression`, and accept through `conclude`. There are
+two routes to the space: elimination of the key equation for virs, and
+Koetter interpolation (`mgs.interpolation_decode`) for mgs and for wb,
+its s = 1 case. The decoders differ only in their system and in the
+block scalars c of a decodable stack Q^(t) = c_t Lambda f^(s-t): ones
+for virs, D(s) for mgs and D(1) for wb (the last two through
 `extract_power_factor`). `select_stack` depends on the space only, not
 on the basis it is given: the locator is the unique monic top block of
 lowest degree.
@@ -87,7 +88,7 @@ def conclude(
     if f.degree >= spec.k:
         return DecodeOutcome.failure(f"message degree {f.degree} >= dimension {spec.k}", kernel_dim)
     c = encode(spec, f)
-    residual = corrupt(r, Word(spec.field, [-v for v in c.symbols], kind="error"))
+    residual = corrupt(r, Word(spec.field, [-v for v in c.symbols]))
     if weight(residual) > tau:
         return DecodeOutcome.failure(
             f"corrected word at distance {weight(residual)} > radius {tau}", kernel_dim

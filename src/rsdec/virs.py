@@ -15,20 +15,18 @@ is a codeword of GRS(n, w), w the width of Q^(s-i); its parity checks
 leave the multi-sequence key equation, a block-Hankel system in the
 syndromes over Lambda alone (`build_key_equation`). Its kernel is the
 Lambda part of A's, vector for vector, and `lift_locator` rebuilds the
-lower blocks by interpolation. `build_A` stays as the tested oracle of
-`rsdec equiv` and `rsdec dump`.
+lower blocks by interpolation. virs is the one decoder on this syndrome
+side; wb and mgs decode by interpolation (`mgs.interpolation_decode`).
+`build_A` stays as the tested oracle of `rsdec equiv` and `rsdec dump`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bivariate import FactorError, split_progression
 from .code import CodeSpec, Word
-from .field import Field
 from .linalg import Mat, nullspace
 from .outcome import DecodeOutcome, conclude, select_stack
-from .poly import UniPoly, lagrange_interpolate, locator_poly, split_blocks
+from .poly import UniPoly, lagrange_interpolate, locator_poly
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -52,51 +50,6 @@ def block_widths(k: int, s: int, tau: int) -> tuple[int, ...]:
     return tuple(tau + (s - t) * (k - 1) + 1 for t in range(s + 1))
 
 
-@dataclass(frozen=True)
-class StackedSolution:
-    """Coefficient stack (Q^(0), ..., Q^(s)); component t caps at
-    degree tau + (s-t)(k-1)."""
-
-    components: tuple[UniPoly, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.components) - 1
-
-    @classmethod
-    def from_pair(cls, locator: UniPoly, f: UniPoly, s: int) -> "StackedSolution":
-        return cls(tuple(locator * f ** (s - t) for t in range(s + 1)))
-
-    @classmethod
-    def from_vector(cls, field: Field, vec, widths) -> "StackedSolution":
-        return cls(split_blocks(field, vec, widths))
-
-    def to_vector(self, widths) -> list[int]:
-        if len(widths) != len(self.components):
-            raise ValueError("block count mismatch")
-        out = []
-        for p, width in zip(self.components, widths):
-            if p.degree >= width:
-                raise ValueError("component degree exceeds its block width")
-            out.extend(p.coeff(j) for j in range(width))
-        return out
-
-
-def build_Mi(spec: CodeSpec, tau: int, i: int) -> Mat:
-    """n x (tau + i(k-1) + 1) Vandermonde block on the locators."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    width = tau + i * (spec.k - 1) + 1
-    q = spec.field.q
-    rows = []
-    for a in spec.locators:
-        row = [1] * width
-        for j in range(1, width):
-            row[j] = (row[j - 1] * a) % q
-        rows.append(row)
-    return Mat(spec.field, rows)
-
-
 def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     """The sn x N system. Band i = 1..s (rows (i-1)n..in-1) encodes
 
@@ -114,30 +67,27 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     widths = block_widths(spec.k, s, tau)
     starts = [sum(widths[:t]) for t in range(s + 1)]
     total = sum(widths)
-    m0 = build_Mi(spec, tau, 0)
     rows = []
     for i in range(1, s + 1):
-        mi = build_Mi(spec, tau, i)
-        for j in range(spec.n):
+        at = starts[s - i]
+        for a, rj in zip(spec.locators, r.symbols):
+            # row j of the Vandermonde block M_i, whose width is widths[s - i]
+            xpow = [1] * widths[s - i]
+            for j in range(1, len(xpow)):
+                xpow[j] = (xpow[j - 1] * a) % q
             row = [0] * total
-            at = starts[s - i]
-            for v in mi.rows[j]:
-                row[at] = -v % q
-                at += 1
-            ri = pow(r.symbols[j], i, q)
-            at = starts[s]
-            for v in m0.rows[j]:
-                row[at] = (ri * v) % q
-                at += 1
+            row[at : at + len(xpow)] = [-v % q for v in xpow]
+            ri = pow(rj, i, q)
+            row[starts[s] :] = [ri * v % q for v in xpow[: widths[s]]]
             rows.append(row)
     return Mat(spec.field, rows)
 
 
 def build_key_equation(spec: CodeSpec, r: Word, widths) -> Mat:
-    """What is left of A (or of the wb system) over the locator block
-    alone once the blocks t < s of `widths` are eliminated.
+    """What is left of A over the locator block alone once the blocks
+    t < s of `widths` are eliminated.
 
-    Block t interpolates c_t r_j^(s-t) Lambda(alpha_j), which has degree
+    Block t interpolates r_j^(s-t) Lambda(alpha_j), which has degree
     below widths[t] iff the values v_j pass the parity checks
     sum_j u_j v_j alpha_j^m = 0, m < n - widths[t], where u_j is
     1 / prod_(m != j) (alpha_j - alpha_m), that is 1 / G'(alpha_j) for
@@ -170,18 +120,17 @@ def build_key_equation(spec: CodeSpec, r: Word, widths) -> Mat:
     return Mat(spec.field, rows or [[0] * (pad + top)])
 
 
-def lift_locator(spec: CodeSpec, r: Word, locator: UniPoly, scalars) -> tuple[UniPoly, ...]:
-    """The blocks of the full system's kernel vector whose locator block is
-    `locator`: Q^(t) interpolates scalars[t] r_j^(s-t) Lambda(alpha_j)
-    (the canonical basis leaves its coefficients of degree >= n zero)."""
+def lift_locator(spec: CodeSpec, r: Word, locator: UniPoly, s: int) -> tuple[UniPoly, ...]:
+    """The blocks of A's kernel vector whose locator block is `locator`:
+    Q^(t) interpolates r_j^(s-t) Lambda(alpha_j) (the canonical basis
+    leaves its coefficients of degree >= n zero)."""
     q = spec.field.q
-    s = len(scalars) - 1
     values = [locator.evaluate(a) for a in spec.locators]
     return tuple(
         lagrange_interpolate(
-            spec.field, [(a, c * pow(v, s - t, q) * lam) for a, v, lam in zip(spec.locators, r, values)]
+            spec.field, [(a, pow(v, s - t, q) * lam) for a, v, lam in zip(spec.locators, r, values)]
         )
-        for t, c in enumerate(scalars[:-1])
+        for t in range(s)
     ) + (locator,)
 
 
@@ -190,10 +139,9 @@ def virs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     widths = block_widths(spec.k, s, tau)
     system = build_key_equation(spec, r, widths)
     kernel = nullspace(system)
-    scalars = (1,) * (s + 1)
     try:
         locator = select_stack(spec.field, kernel, (system.ncols - widths[-1], widths[-1]))[-1]
-        locator, f = split_progression(lift_locator(spec, r, locator, scalars), scalars, spec.k)
+        locator, f = split_progression(lift_locator(spec, r, locator, s), (1,) * (s + 1), spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))

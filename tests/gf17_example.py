@@ -7,6 +7,7 @@ before the package existed; the tests hold the package to them.
 """
 
 import rsdec as R
+from rsdec.poly import locator_poly
 
 Q17 = 17
 ALPHA = 3
@@ -51,11 +52,11 @@ def instance():
     spec = code()
     f = R.UniPoly.from_ints(spec.field, F_COEFFS)
     c = R.encode(spec, f)
-    e = R.Word.from_ints(spec.field, ERROR, kind="error")
+    e = R.Word.from_ints(spec.field, ERROR)
     return spec, f, c, R.corrupt(c, e)
 
 
 def locator():
     """Monic locator over the seven erroneous positions."""
     spec = code()
-    return R.locator_poly(spec.field, [spec.locators[i] for i in ERROR_POSITIONS])
+    return locator_poly(spec.field, [spec.locators[i] for i in ERROR_POSITIONS])

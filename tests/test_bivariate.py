@@ -2,22 +2,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsdec import (
+from rsdec import Field, UniPoly
+from rsdec.bivariate import (
     BiPoly,
     FactorError,
-    Field,
-    UniPoly,
-    binom_mod,
     extract_power_factor,
     hasse_mixed,
     hasse_y,
-    power_factor_poly,
     shift,
     substitute_y,
     weighted_degree,
 )
+from rsdec.field import binom_mod
 
 F17 = Field(17)
+
+
+def power_factor_poly(W, f, s):
+    """W(x) * (y - f(x))^s by BiPoly arithmetic, the expansion that
+    `extract_power_factor` avoids."""
+    return BiPoly.from_uni(W) * BiPoly(W.field, (-f, UniPoly.one(W.field))) ** s
 
 
 def bipoly(field, rows):

@@ -66,7 +66,8 @@ def test_corrupt_random_weight(tmp_path, capsys):
 def test_decode_methods_succeed(tmp_path, capsys, method, extra):
     # wb only reaches half distance, so feed it a weight-6 word
     if method == "wb":
-        from rsdec import Field, Word, corrupt, random_error
+        from rsdec import Field, Word, corrupt
+        from rsdec.code import random_error
 
         F = Field(17)
         c = Word.from_ints(F, ex.CODEWORD)
@@ -103,6 +104,22 @@ def test_bad_invocations(tmp_path, capsys):
         code, stdout, err = run(capsys, "mc", "--config", str(cfg), f"--threads={threads}")
         assert (code, stdout) == (1, "")
         assert f"--threads must be at least 1, got {threads}" in err
+    base = {"q": 17, "n": 16, "k": 4, "s": 2, "weights": [5], "trials": 1, "seed": 5}
+    for bad, message in (
+        ({"weights": [5, 5]}, "duplicate weights in [5, 5]"),
+        ({"methods": ["wb", "virs", "wb"]}, "duplicate methods in ['wb', 'virs', 'wb']"),
+        ({"methods": "wb"}, "methods must be a list, got 'wb'"),
+        ({"weights": 5}, "weights must be a list, got 5"),
+        ({"q": 1.5}, "q must be an integer, got 1.5"),
+        ({"k": 2.0}, "k must be an integer, got 2.0"),
+        ({"trials": "2"}, "trials must be an integer, got '2'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"weights": [5.0]}, "weights must be integers, got 5.0"),
+    ):
+        cfg.write_text(json.dumps({**base, **bad}))
+        code, stdout, err = run(capsys, "mc", "--config", str(cfg))
+        assert (code, stdout) == (1, "")
+        assert f"rsdec: error: {message}" in err
     path = write_received(tmp_path)
     for argv in (
         ("dump", "--matrix", "A", "--tau", "-3"),

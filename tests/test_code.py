@@ -5,20 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gf17_example as ex
-from rsdec import (
-    CodeSpec,
-    Field,
-    UniPoly,
-    Word,
-    corrupt,
-    default_locators,
-    encode,
-    interpolate_word,
-    power_word,
-    random_error,
-    support,
-    weight,
-)
+from rsdec import CodeSpec, Field, UniPoly, Word, corrupt, encode, power_word
+from rsdec.code import default_locators, interpolate_word, random_error, support, weight
 
 F7 = Field(7)
 
@@ -31,13 +19,11 @@ def test_default_locators_are_primitive_powers():
 def test_encode_worked_example():
     spec, f, c, _ = ex.instance()
     assert c.to_ints() == ex.CODEWORD
-    assert c.kind == "codeword"
 
 
 def test_corrupt_worked_example():
     _, _, _, r = ex.instance()
     assert r.to_ints() == ex.RECEIVED
-    assert r.kind == "received"
 
 
 def test_power_word_worked_example():
@@ -112,25 +98,25 @@ def test_power_word_lands_in_larger_code(f_coeffs, i):
 
 def test_corrupt_is_componentwise_sum():
     c = Word.from_ints(F7, [1, 2, 3])
-    e = Word.from_ints(F7, [6, 0, 5], kind="error")
+    e = Word.from_ints(F7, [6, 0, 5])
     r = corrupt(c, e)
     assert r.to_ints() == [0, 2, 1]
-    neg = Word.from_ints(F7, [1, 0, 2], kind="error")
+    neg = Word.from_ints(F7, [1, 0, 2])
     assert corrupt(r, neg) == c
     with pytest.raises(ValueError):
         corrupt(c, Word.from_ints(F7, [1]))
 
 
-def test_word_equality_ignores_kind():
-    a = Word.from_ints(F7, [1, 2], kind="codeword")
-    b = Word.from_ints(F7, [1, 2], kind="error")
+def test_word_equality_and_hash():
+    a = Word.from_ints(F7, [1, 2])
+    b = Word(F7, [1, 2])
     assert a == b
     assert hash(a) == hash(b)
     # symbols are reduced mod q on construction
     assert Word(F7, [7, -1]).symbols == (0, 6)
-    assert Word(F7, [8, 9], kind="error") == a
-    with pytest.raises(ValueError):
-        Word.from_ints(F7, [1], kind="mystery")
+    assert Word(F7, [8, 9]) == a
+    assert a != Word(Field(11), [1, 2])
+    assert repr(a) == "Word([1, 2])"
 
 
 def test_random_error_weight_and_determinism():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsdec import Field, binom_mod
+from rsdec import Field
+from rsdec.field import binom_mod
 
 PRIMES = [2, 3, 5, 7, 17, 31, 257, 65521]
 

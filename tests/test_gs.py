@@ -1,27 +1,19 @@
 import pytest
 
 import gf17_example as ex
-from rsdec import (
-    BiPoly,
-    CodeSpec,
-    Field,
+from rsdec import CodeSpec, Field, UniPoly, Word, corrupt, encode, wb_radius
+from rsdec.bivariate import BiPoly, hasse_mixed, substitute_y
+from rsdec.code import random_error
+from rsdec.gs import (
     GsParams,
-    UniPoly,
-    Word,
-    corrupt,
-    encode,
+    _constraint_matrix,
     gs_interpolate,
     gs_params_valid,
-    hasse_mixed,
     key_equation_check,
-    locator_poly,
     multiplicity_at,
-    random_error,
-    substitute_y,
-    wb_build,
-    wb_radius,
 )
-from rsdec.gs import _constraint_matrix
+from rsdec.poly import locator_poly
+from rsdec.wb import wb_build
 
 F17 = Field(17)
 
@@ -164,7 +156,7 @@ def test_key_equation_two_directions_small_instance():
     spec = CodeSpec(F, 6, 2)
     f = UniPoly.from_ints(F, [3, 1])
     c = encode(spec, f)
-    e = Word.from_ints(F, [0, 5, 0, 0, 2, 0], kind="error")
+    e = Word.from_ints(F, [0, 5, 0, 0, 2, 0])
     r = corrupt(c, e)
     p = GsParams(6, 2, ell=2, s=2, tau=2)
     assert gs_params_valid(p)[0]
@@ -183,5 +175,5 @@ def test_constraint_matrix_coincides_with_wb():
     for seed in range(5):
         r = corrupt(c, random_error(spec, seed, seed))
         gs_mat = _constraint_matrix(spec, r, half_distance_params(16, 4))
-        wb_mat = wb_build(spec, r).matrix
+        wb_mat = wb_build(spec, r)
         assert gs_mat == wb_mat

@@ -8,38 +8,35 @@ from hypothesis import strategies as st
 import gf17_example as ex
 import rsdec.linalg
 from rsdec import (
-    BiPoly,
     CodeSpec,
     DecodeOutcome,
-    FactorError,
     Field,
     UniPoly,
     Word,
-    block_widths,
     build_Bbar,
     corrupt,
     encode,
-    errorfree_divisibility_check,
-    extract_power_factor,
-    hasse_mixed,
-    hasse_y,
-    interpolate_word,
-    locator_poly,
     mgs_decode,
-    mgs_interpolate,
-    multiplicity_at,
     nullspace,
-    poly_divrem,
-    power_factor_poly,
-    random_error,
-    substitute_y,
     virs_radius,
     wb_decode,
+    wb_radius,
 )
-from rsdec.mgs import interpolation_kernel
+from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, hasse_mixed, hasse_y, substitute_y
+from rsdec.code import interpolate_word, random_error
+from rsdec.gs import multiplicity_at
+from rsdec.mgs import errorfree_divisibility_check, interpolation_kernel, mgs_interpolate
 from rsdec.outcome import conclude, select_stack
+from rsdec.poly import locator_poly, poly_divrem
+from rsdec.virs import block_widths
+from rsdec.wb import wb_build
 
 F17 = Field(17)
+
+
+def power_factor_poly(W, f, s):
+    """W(x) * (y - f(x))^s by BiPoly arithmetic."""
+    return BiPoly.from_uni(W) * BiPoly(W.field, (-f, UniPoly.one(W.field))) ** s
 
 
 def test_build_shape_and_band_layout():
@@ -161,7 +158,7 @@ def test_weight_seven_locator_roots(seed):
 def test_order_divides_characteristic_rejected():
     F3 = Field(3)
     spec = CodeSpec(F3, 2, 1)
-    r = Word.from_ints(F3, [1, 2], kind="received")
+    r = Word.from_ints(F3, [1, 2])
     with pytest.raises(ValueError):
         mgs_decode(spec, r, 3)
 
@@ -178,7 +175,7 @@ def test_infeasible_order_is_named_before_the_characteristic():
 @pytest.mark.parametrize("length", [15, 17])
 def test_word_length_must_equal_n(length):
     spec = ex.code()
-    r = Word.from_ints(F17, [1] * length, kind="received")
+    r = Word.from_ints(F17, [1] * length)
     for decode in (mgs_decode, mgs_interpolate):
         with pytest.raises(ValueError, match="word length must equal n"):
             decode(spec, r, 2)
@@ -312,14 +309,20 @@ def summary(out):
 
 @given(received_words())
 def test_interpolation_kernel_spans_the_dense_kernel(case):
+    # on B-bar's caps, and on wb's: the wb system is B-bar at s = 1 with
+    # blocks n - tau0 and n - tau0 - k + 1 wide
     spec, r, s = case
     tau = virs_radius(spec.n, spec.k, s)
-    Bbar = build_Bbar(spec, r, s, tau).matrix
-    kernel = interpolation_kernel(spec, r, block_widths(spec.k, s, tau))
-    assert len(kernel) == len(nullspace(Bbar))
-    assert all(not any(Bbar.mulvec(v)) for v in kernel)
-    # linearly independent, so the span is all of ker B-bar
-    assert not kernel or len(nullspace(rsdec.linalg.Mat(spec.field, kernel))) == Bbar.ncols - len(kernel)
+    tau0 = wb_radius(spec.n, spec.k)
+    for system, widths in (
+        (build_Bbar(spec, r, s, tau).matrix, block_widths(spec.k, s, tau)),
+        (wb_build(spec, r), (spec.n - tau0, spec.n - tau0 - spec.k + 1)),
+    ):
+        kernel = interpolation_kernel(spec, r, widths)
+        assert len(kernel) == len(nullspace(system))
+        assert all(not any(system.mulvec(v)) for v in kernel)
+        # linearly independent, so the span is all of the dense kernel
+        assert not kernel or len(nullspace(rsdec.linalg.Mat(spec.field, kernel))) == system.ncols - len(kernel)
 
 
 @given(received_words())
@@ -377,7 +380,8 @@ def test_wide_block_is_reduced_to_the_canonical_vector():
 
 
 def test_decode_eliminates_nothing(monkeypatch):
-    # RS(64,8), s=2: B-bar would be a 128 x 129 elimination
+    # RS(64,8), s=2: B-bar would be a 128 x 129 elimination, and wb's
+    # system, B-bar at s = 1, a 64 x 65 one
     calls = []
     original = rsdec.linalg._rref_ints
 
@@ -392,4 +396,5 @@ def test_decode_eliminates_nothing(monkeypatch):
     r = corrupt(encode(spec, f), random_error(spec, 20, 3))
     assert mgs_decode(spec, r, 2).f == f
     assert extract_power_factor(mgs_interpolate(spec, r, 2), 2, 8)[1] == f
+    assert wb_decode(spec, r).f == f
     assert calls == []

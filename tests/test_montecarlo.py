@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rsdec import UniPoly, corrupt, encode, mgs_decode, random_error, virs_decode, wb_decode, wb_radius
+from rsdec import UniPoly, corrupt, encode, mgs_decode, virs_decode, wb_decode, wb_radius
+from rsdec.code import random_error
 from rsdec.montecarlo import ExperimentConfig, run_montecarlo, run_trials
 from rsdec.rng import Stream, derive_seed
 
@@ -46,6 +47,21 @@ def test_config_validation():
         small_config(methods=("wb", "magic"))
     with pytest.raises(ValueError):
         small_config(trials=0)
+    for overrides, message in (
+        ({"weights": (5, 5)}, "duplicate weights"),
+        ({"methods": ("virs", "virs")}, "duplicate methods"),
+        ({"methods": "wb"}, "methods must be a list"),
+        ({"weights": 5}, "weights must be a list"),
+        ({"q": 17.0}, "q must be an integer"),
+        ({"n": 1.5}, "n must be an integer"),
+        ({"s": "2"}, "s must be an integer"),
+        ({"trials": True}, "trials must be an integer"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"alpha": 3.0}, "alpha must be an integer"),
+        ({"weights": (0, "7")}, "weights must be integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
 
 
 def test_trials_deterministic():

@@ -1,6 +1,9 @@
-"""The experiment scripts under scripts/ run against the installed package."""
+"""The experiment scripts under scripts/, and the README's library
+example, run against the package."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +47,25 @@ def test_worked_example_output_is_frozen():
     done = run_script("worked_example.py")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == WORKED_EXAMPLE
+
+
+def test_readme_library_example_runs():
+    # every bare expression of the block is a claim: true, unless its
+    # comment says False
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    source = re.search(r"## Library in one minute\n\n```python\n(.*?)```", readme, re.S).group(1)
+    lines = source.splitlines()
+    namespace = {}
+    claims = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            expect = not lines[node.end_lineno - 1].rstrip().endswith("# False")
+            assert bool(value) == expect, lines[node.lineno - 1]
+            claims += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert claims == 3
 
 
 @pytest.mark.parametrize("name,args", [

@@ -6,24 +6,22 @@ import gf17_example as ex
 from rsdec import (
     CodeSpec,
     Field,
-    StackedSolution,
     UniPoly,
     Word,
-    block_widths,
     build_A,
-    build_Mi,
     corrupt,
     encode,
     feasible,
-    locator_poly,
     mgs_decode,
-    random_error,
     virs_decode,
     virs_radius,
     wb_decode,
     wb_radius,
 )
 from rsdec.bivariate import FactorError, scaling_scalars, split_progression
+from rsdec.code import random_error
+from rsdec.poly import locator_poly, split_blocks
+from rsdec.virs import block_widths
 
 F17 = Field(17)
 
@@ -73,23 +71,25 @@ def test_params_total_identity():
 
 
 def test_build_Mi_shapes_and_entries():
-    spec = ex.code()
-    m0 = build_Mi(spec, 7, 0)
-    assert (m0.nrows, m0.ncols) == (16, 8)
-    m2 = build_Mi(spec, 7, 2)
-    assert (m2.nrows, m2.ncols) == (16, 14)
-    for j, a in enumerate(spec.locators):
-        assert m2.rows[j][0] == 1
-        assert m2.rows[j][3] == pow(a, 3, 17)
-    with pytest.raises(ValueError):
-        build_Mi(spec, 7, -1)
+    # band i of A holds -M_i (n x (tau + i(k-1) + 1) Vandermonde) in the
+    # block of Q^(s-i), and diag(r)^i M_0 in the block of Q^(s)
+    spec, _, _, r = ex.instance()
+    A = build_A(spec, r, 2, 7)
+    for j, (a, rj) in enumerate(zip(spec.locators, r.symbols)):
+        band1, band2 = A.rows[j], A.rows[16 + j]
+        assert band2[:14] == tuple(-pow(a, m, 17) % 17 for m in range(14))
+        assert band1[14:25] == tuple(-pow(a, m, 17) % 17 for m in range(11))
+        for i, row in ((1, band1), (2, band2)):
+            assert row[25:] == tuple(pow(rj, i, 17) * pow(a, m, 17) % 17 for m in range(8))
+        assert not any(band1[:14]) and not any(band2[14:25])
 
 
 def test_build_Mi_all_ones_for_unit_locator():
     F = Field(5)
     spec = CodeSpec(F, 1, 1, locators=(1,))
-    m = build_Mi(spec, 2, 1)
-    assert m.rows == ((1, 1, 1),)
+    # k = 1: every M_i is a row of tau + 1 ones
+    A = build_A(spec, Word.from_ints(F, [2]), 2, 2)
+    assert A.rows == ((0, 0, 0, 4, 4, 4, 2, 2, 2), (4, 4, 4, 0, 0, 0, 4, 4, 4))
 
 
 def test_build_A_shape():
@@ -105,9 +105,8 @@ def test_build_A_zero_word_bands():
     # with r = 0 the top-block columns vanish and each band keeps -M_i
     for row in A.rows:
         assert all(v == 0 for v in row[25:])
-    mi = build_Mi(spec, 7, 1)
-    for j in range(16):
-        assert A.rows[j][14:25] == tuple(-v % 17 for v in mi.rows[j])
+    for j, a in enumerate(spec.locators):
+        assert A.rows[j][14:25] == tuple(-pow(a, m, 17) % 17 for m in range(11))
 
 
 def test_build_A_infeasible_raises():
@@ -123,8 +122,7 @@ def test_synthetic_stack_solves_system(wt, f_coeffs, seed):
     e = random_error(spec, wt, seed)
     r = corrupt(encode(spec, f), e)
     lam = locator_poly(spec.field, [a for a, v in zip(spec.locators, e.symbols) if v != 0])
-    stack = StackedSolution.from_pair(lam, f, 2)
-    vec = stack.to_vector(block_widths(4, 2, 7))
+    vec = [(lam * f ** (2 - t)).coeff(i) for t, w in enumerate(block_widths(4, 2, 7)) for i in range(w)]
     A = build_A(spec, r, 2, 7)
     assert all(x == 0 for x in A.mulvec(vec))
 
@@ -269,12 +267,9 @@ def test_stack_vector_round_trip():
     widths = block_widths(4, 2, 7)
     lam = locator_poly(F17, [3, 9])
     f = UniPoly.from_ints(F17, [1, 2, 3])
-    stack = StackedSolution.from_pair(lam, f, 2)
-    vec = stack.to_vector(widths)
+    stack = tuple(lam * f ** (2 - t) for t in range(3))
+    vec = [p.coeff(i) for p, w in zip(stack, widths) for i in range(w)]
     assert len(vec) == 33
-    back = StackedSolution.from_vector(F17, vec, widths)
-    assert back == stack
+    assert split_blocks(F17, vec, widths) == stack
     with pytest.raises(ValueError):
-        StackedSolution.from_vector(F17, vec[:-1], widths)
-    with pytest.raises(ValueError):
-        stack.to_vector((1, 1, 1))
+        split_blocks(F17, vec[:-1], widths)

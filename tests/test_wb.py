@@ -5,19 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gf17_example as ex
-from rsdec import (
-    CodeSpec,
-    Field,
-    StackedSolution,
-    UniPoly,
-    Word,
-    corrupt,
-    encode,
-    random_error,
-    wb_build,
-    wb_decode,
-    wb_radius,
-)
+from rsdec import CodeSpec, Field, UniPoly, Word, corrupt, encode, wb_decode, wb_radius
+from rsdec.code import random_error
+from rsdec.linalg import nullspace
+from rsdec.poly import split_blocks
+from rsdec.wb import wb_build
 
 F7 = Field(7)
 
@@ -34,40 +26,38 @@ def test_wb_radius():
 def test_wb_build_shape():
     spec, _, _, r = ex.instance()
     system = wb_build(spec, r)
-    assert (system.matrix.nrows, system.matrix.ncols) == (16, 17)
-    assert system.width0 == 10
-    assert system.width1 == 7
-    assert system.tau0 == 6
+    # blocks of n - tau0 = 10 and n - tau0 - k + 1 = 7 columns
+    assert (system.nrows, system.ncols) == (16, 17)
 
 
 def test_wb_build_zero_word_kills_locator_block():
     spec = ex.code()
     system = wb_build(spec, Word.from_ints(spec.field, [0] * 16))
-    for row in system.matrix.rows:
-        assert all(v == 0 for v in row[system.width0 :])
+    for row in system.rows:
+        assert all(v == 0 for v in row[10:])
 
 
 def test_wb_build_all_ones_row():
     F = Field(5)
     spec = CodeSpec(F, 1, 1, locators=(1,))
     system = wb_build(spec, Word.from_ints(F, [1]))
-    assert system.matrix.rows == ((1, 1),)
+    assert system.rows == ((1, 1),)
 
 
 def test_wb_build_rows_encode_evaluation():
     spec, _, _, r = ex.instance()
     system = wb_build(spec, r)
     for i, (a, ri) in enumerate(zip(spec.locators, r.symbols)):
-        row = system.matrix.rows[i]
-        assert row[: system.width0] == tuple(pow(a, j, 17) for j in range(10))
-        assert row[system.width0 :] == tuple(
+        row = system.rows[i]
+        assert row[:10] == tuple(pow(a, j, 17) for j in range(10))
+        assert row[10:] == tuple(
             ri * pow(a, j, 17) % 17 for j in range(7)
         )
 
 
 def test_decode_at_full_radius():
     spec, f, c, _ = ex.instance()
-    e = Word.from_ints(spec.field, [1, 2, 3, 4, 5, 6] + [0] * 10, kind="error")
+    e = Word.from_ints(spec.field, [1, 2, 3, 4, 5, 6] + [0] * 10, )
     out = wb_decode(spec, corrupt(c, e))
     assert out.success
     assert out.f == f
@@ -103,10 +93,10 @@ def test_message_component_matches_locator_times_f(seed):
     out = wb_decode(spec, r)
     assert out.success
     # any solution splits as (q0, q1) with q0 = -f q1; check on the outcome
-    from rsdec import nullspace
-
-    for vec in nullspace(system.matrix):
-        q0, q1 = StackedSolution.from_vector(spec.field, vec, (system.width0, system.width1)).components
+    tau0 = wb_radius(spec.n, spec.k)
+    widths = (spec.n - tau0, spec.n - tau0 - spec.k + 1)
+    for vec in nullspace(system):
+        q0, q1 = split_blocks(spec.field, vec, widths)
         assert q0 == -(out.f * q1)
 
 
