@@ -5,8 +5,8 @@ Three decoders on two routes to one solution space:
 - wb: classical decoding up to floor((n-k)/2) errors, the list-size-1
   case of interpolation;
 - virs: virtual interleaving of symbol powers, one shared error
-  locator, radius floor((sn - C(s+1,2)(k-1) - s) / (s+1)), decoded on
-  the multi-sequence key equation;
+  locator, radius floor((sn - C(s+1,2)(k-1) - s) / (s+1)), decoded by
+  row-reducing its solution module;
 - mgs: bivariate interpolation with an s-fold y-root, same radius,
   decoded by Koetter's iterative interpolation like wb.
 

@@ -205,13 +205,15 @@ def scaling_scalars(s: int, q: int) -> tuple[int, ...]:
     return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
 
 
-def split_progression(stack, scalars, k: int) -> tuple[UniPoly, UniPoly]:
+def split_progression(stack, scalars, k: int, modulus=None) -> tuple[UniPoly, UniPoly]:
     """(Lambda, f) with stack[t] = scalars[t] Lambda f^(s-t) for every t
     and deg f < k, Lambda being the top block; or raise FactorError.
 
     f = stack[s-1] / (scalars[s-1] Lambda) must divide exactly, and every
     lower block is then checked against the progression: a stack passing
     the division by luck but breaking this shape is a spurious solution.
+    A term of degree >= n is compared mod `modulus` G = prod (x - alpha_j),
+    as the canonical kernel vector holds such a block reduced mod G.
     """
     locator = stack[-1]
     f, rem = poly_divrem(stack[-2], locator * scalars[-2])
@@ -222,17 +224,20 @@ def split_progression(stack, scalars, k: int) -> tuple[UniPoly, UniPoly]:
     term = locator * f
     for t in range(len(stack) - 3, -1, -1):
         term = term * f
-        if stack[t] != term * scalars[t]:
+        expect = term * scalars[t]
+        if modulus is not None and expect.degree >= modulus.degree:
+            expect = poly_divrem(expect, modulus)[1]
+        if stack[t] != expect:
             raise FactorError("expansion", "solution stack is not a power progression")
     return locator, f
 
 
-def extract_power_factor(Q: BiPoly, s: int, k: int) -> tuple[UniPoly, UniPoly]:
+def extract_power_factor(Q: BiPoly, s: int, k: int, modulus=None) -> tuple[UniPoly, UniPoly]:
     """Split Q as W(x) * (y - f(x))^s with deg f < k, or raise FactorError.
 
     The y-components of W (y - f)^s are D_t W f^(s-t) with D = D(s), so
     the factorization is checked component by component, without
-    expanding the product.
+    expanding the product; `modulus` as in `split_progression`.
     """
     if s < 1:
         raise ValueError("power must be positive")
@@ -243,4 +248,4 @@ def extract_power_factor(Q: BiPoly, s: int, k: int) -> tuple[UniPoly, UniPoly]:
         raise ValueError("field characteristic divides the power")
     if Q.ydeg != s:
         raise FactorError("shape", f"y-degree {Q.ydeg} does not match power {s}")
-    return split_progression(Q.components, scaling_scalars(s, q), k)
+    return split_progression(Q.components, scaling_scalars(s, q), k, modulus)

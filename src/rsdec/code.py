@@ -12,10 +12,11 @@ residues in [0, q).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterable
 
 from .field import Field
-from .poly import UniPoly, lagrange_interpolate
+from .poly import UniPoly, lagrange_interpolate, locator_poly
 from .rng import Stream
 
 
@@ -47,9 +48,21 @@ class CodeSpec:
     def d(self) -> int:
         return self.n - self.k + 1
 
+    @cached_property
+    def vanishing(self) -> UniPoly:
+        """G = prod (x - locator_i), zero at every code locator."""
+        return locator_poly(self.field, self.locators)
+
     def positions_of_roots(self, p: UniPoly) -> tuple[int, ...]:
         """Indices i with p(locators[i]) = 0."""
         return tuple(i for i, a in enumerate(self.locators) if p.evaluate(a) == 0)
+
+    def check_word(self, r: "Word") -> None:
+        """Reject, at the decoders' edge, a word not of n symbols over this field."""
+        if len(r) != self.n:
+            raise ValueError("word length must equal n")
+        if r.field != self.field:
+            raise ValueError(f"word over {r.field}, code over {self.field}")
 
 
 class Word:

@@ -19,7 +19,7 @@ from .bivariate import BiPoly, hasse_y, shift, substitute_y
 from .code import CodeSpec, Word, interpolate_word
 from .field import binom_mod
 from .linalg import Mat, nullspace
-from .poly import locator_poly, poly_divrem, split_blocks
+from .poly import poly_divrem, split_blocks
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def _constraint_matrix(spec: CodeSpec, r: Word, p: GsParams) -> Mat:
 def gs_interpolate(spec: CodeSpec, r: Word, p: GsParams) -> BiPoly:
     if spec.n != p.n or spec.k != p.k:
         raise ValueError("parameter set does not match the code")
-    if len(r) != spec.n:
-        raise ValueError("word length must equal n")
+    spec.check_word(r)
     valid, unknowns, constraints = gs_params_valid(p)
     if not valid:
         raise ValueError(
@@ -114,7 +113,7 @@ def key_equation_check(Q: BiPoly, spec: CodeSpec, r: Word, p: GsParams) -> bool:
     """True iff G(x)^(s-b) exactly divides Q^[b](x, R(x)) for each b < s
     and each quotient's degree stays below ell(n-k) - s*tau + b."""
     R = interpolate_word(spec, r)
-    G = locator_poly(spec.field, spec.locators)
+    G = spec.vanishing
     for b in range(p.s):
         composed = substitute_y(hasse_y(Q, b), R)
         quotient, rem = poly_divrem(composed, G ** (p.s - b))

@@ -15,13 +15,13 @@ The decoder never eliminates the constraint matrix B-bar. Its rows are
 functionals that commute with multiplication by x up to the point's
 locator, so Koetter's iterative interpolation (`interpolation_kernel`)
 gives the whole solution space from s + 1 polynomials updated point by
-point; `select_stack` picks the locator from that span, and the lower
-blocks are reduced mod prod (x - alpha_j) to the canonical kernel
-vector, so every outcome and reason is the dense pipeline's. This route
-(`interpolation_decode`) shares nothing with the syndrome side of virs.
-wb runs it too, at s = 1 on its own caps: the wb system is B-bar's rows
-at s = 1. `build_Bbar` stays as the tested oracle of `rsdec equiv`,
-`rsdec dump` and `mc`.
+point; `outcome.canonical_stack` picks the locator from that span and
+reduces the lower blocks mod prod (x - alpha_j) to the canonical kernel
+vector, so every outcome and reason is the dense pipeline's. virs
+reaches the same module by row reduction in A's coordinates. wb runs
+this route (`interpolation_decode`) too, at s = 1 on its own caps: the
+wb system is B-bar's rows at s = 1. `build_Bbar` stays as the tested
+oracle of `rsdec equiv`, `rsdec dump` and `mc`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .bivariate import BiPoly, FactorError, extract_power_factor, hasse_y, subst
 from .code import CodeSpec, Word, interpolate_word
 from .field import binom_mod
 from .linalg import Mat
-from .outcome import DecodeOutcome, conclude, select_stack
+from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
 from .poly import locator_poly, poly_divrem
 from .virs import block_widths, feasible, virs_radius
 
@@ -58,8 +58,7 @@ class MgsSystem:
 def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
     if not feasible(spec.n, spec.k, s):
         raise ValueError(f"order {s} infeasible for (n, k) = ({spec.n}, {spec.k})")
-    if len(r) != spec.n:
-        raise ValueError("word length must equal n")
+    spec.check_word(r)
     q = spec.field.q
     widths = block_widths(spec.k, s, tau)
     max_width = widths[0]
@@ -91,11 +90,9 @@ def interpolation_kernel(spec: CodeSpec, r: Word, widths) -> list[list[int]]:
     leading term under the (1, k-1)-weighted degree (ties by y-degree),
     clears the others against it and multiplies it by x - alpha_j. The
     final g_0..g_s are a Groebner basis with one leading term per
-    y-degree, so the stacks within the caps of `widths` are spanned by
-    the x^i g_t with wdeg(g_t) + i <= widths[0] - 1.
+    y-degree, which `capped_span` spans within the caps of `widths`.
     """
-    if len(r) != spec.n:
-        raise ValueError("word length must equal n")
+    spec.check_word(r)
     q = spec.field.q
     s = len(widths) - 1
     w = spec.k - 1
@@ -128,37 +125,22 @@ def interpolation_kernel(spec: CodeSpec, r: Word, widths) -> list[list[int]]:
                            for g in basis[star]]
             values[star] = [0] * (s + 1)
             wdeg[star] += 1
-    return [
-        [v for p, width in zip(g, widths) for v in [0] * i + p + [0] * (width - i - len(p))]
-        for g, d in zip(basis, wdeg)
-        for i in range(widths[0] - d)
-    ]
-
-
-def _select(spec: CodeSpec, kernel, widths) -> BiPoly:
-    """The canonical kernel vector: `select_stack`'s minimal monic locator,
-    with every lower block reduced mod G = prod (x - alpha_j). Kernel
-    vectors with a zero locator are G-multiples block by block, and only
-    blocks wider than n can reach degree n."""
-    stack = select_stack(spec.field, kernel, widths)
-    if any(p.degree >= spec.n for p in stack):
-        G = locator_poly(spec.field, spec.locators)
-        stack = tuple(poly_divrem(p, G)[1] if p.degree >= spec.n else p for p in stack)
-    return BiPoly(spec.field, stack)
+    return capped_span(basis, wdeg, widths)
 
 
 def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
     widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
-    return _select(spec, interpolation_kernel(spec, r, widths), widths)
+    return BiPoly(spec.field, canonical_stack(spec, interpolation_kernel(spec, r, widths), widths))
 
 
 def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths) -> DecodeOutcome:
     """Decode on the interpolation side: Koetter's span of the system with
-    `widths`, `_select`, then the split Q = Lambda (y - f)^s with
+    `widths`, `canonical_stack`, then the split Q = Lambda (y - f)^s with
     s = len(widths) - 1, accepted within radius tau."""
     kernel = interpolation_kernel(spec, r, widths)
     try:
-        locator, f = extract_power_factor(_select(spec, kernel, widths), len(widths) - 1, spec.k)
+        Q = BiPoly(spec.field, canonical_stack(spec, kernel, widths))
+        locator, f = extract_power_factor(Q, len(widths) - 1, spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))

@@ -1,16 +1,16 @@
 """Decoder result type and the stages shared by every decoder.
 
-Every decoder runs the same pipeline: take a basis of its solution
-space, `select_stack`, split the stack into (Lambda, f) with
-`bivariate.split_progression`, and accept through `conclude`. There are
-two routes to the space: elimination of the key equation for virs, and
-Koetter interpolation (`mgs.interpolation_decode`) for mgs and for wb,
-its s = 1 case. The decoders differ only in their system and in the
-block scalars c of a decodable stack Q^(t) = c_t Lambda f^(s-t): ones
-for virs, D(s) for mgs and D(1) for wb (the last two through
-`extract_power_factor`). `select_stack` depends on the space only, not
-on the basis it is given: the locator is the unique monic top block of
-lowest degree.
+Every decoder runs the same pipeline: reduce a basis of its solution
+module, span it within the caps (`capped_span`), pick the canonical
+vector (`canonical_stack`), split it into (Lambda, f) with
+`bivariate.split_progression`, and accept through `conclude`. virs
+reduces by Mulders-Storjohann, mgs and wb, its s = 1 case, by Koetter
+interpolation (`mgs.interpolation_decode`). The decoders differ only in
+their system and in the block scalars c of a decodable stack
+Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs and D(1) for wb
+(the last two through `extract_power_factor`). `select_stack` depends
+on the space only, not on the basis it is given: the locator is the
+unique monic top block of lowest degree.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bivariate import FactorError
 from .code import CodeSpec, Word, corrupt, encode, weight
 from .field import Field
-from .poly import UniPoly, split_blocks
+from .poly import UniPoly, poly_divrem, split_blocks
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,25 @@ def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
     if not by_degree:
         raise FactorError("shape", "no solution with nonzero locator component")
     return split_blocks(field, by_degree[min(by_degree)], widths)
+
+
+def capped_span(basis, degrees, widths) -> list[list[int]]:
+    """Flat vectors x^i b for each row b of a reduced module basis and each
+    i with degrees[b] + i <= widths[0] - 1: by the predictable-degree
+    property, a basis of the module's elements within the caps."""
+    return [
+        [v for p, width in zip(b, widths) for v in [0] * i + p + [0] * (width - i - len(p))]
+        for b, d in zip(basis, degrees)
+        for i in range(widths[0] - d)
+    ]
+
+
+def canonical_stack(spec: CodeSpec, kernel, widths) -> tuple[UniPoly, ...]:
+    """The canonical kernel vector: `select_stack`'s, with every block
+    wider than n reduced mod G = prod (x - alpha_j), since kernel vectors
+    with a zero locator are G-multiples block by block."""
+    stack = select_stack(spec.field, kernel, widths)
+    return tuple(poly_divrem(p, spec.vanishing)[1] if p.degree >= spec.n else p for p in stack)
 
 
 def conclude(

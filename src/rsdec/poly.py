@@ -10,6 +10,7 @@ every integer, so degree-bound checks need no special cases.
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence
 
 from .field import Field, binom_mod
@@ -176,31 +177,40 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 
 def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the points.
-
-    With G = prod (x - x_i) the result is sum_i y_i G_i / G_i(x_i), where
-    G_i = G / (x - x_i): G is built once and each G_i is one synthetic
-    division, so n points cost O(n^2).
-    """
+    """The unique polynomial of degree < len(points) through the points."""
     if not points:
         raise ValueError("need at least one point")
     q = field.q
     xs = [x % q for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x-coordinate")
+    return UniPoly(field, interpolate_many(field, xs, [[y for _, y in points]])[0])
+
+
+def interpolate_many(field: Field, xs: Sequence[int], value_lists) -> list[list[int]]:
+    """Coefficients, ascending and stripped, of the polynomial of degree
+    < len(xs) through the (x_j, v_j), for each list v in `value_lists`.
+    It is sum_j u_j v_j G / (x - x_j) with G = prod (x - x_j) and
+    u_j = 1 / G'(x_j), so coefficient m is sum_(l>m) G[l] P[l-m-1] in
+    P[e] = sum_j u_j v_j x_j^e. The lists share G, u and the x_j^e."""
+    q = field.q
     n = len(xs)
     G = locator_poly(field, xs).coeffs
-    total = [0] * n
-    for x, (_, y) in zip(xs, points):
-        if y % q == 0:
-            continue
-        quot = [0] * n
-        acc = 0
-        for m in range(n - 1, -1, -1):
-            quot[m] = acc = (G[m + 1] + x * acc) % q
-        scale = y * field.inv(UniPoly(field, quot).evaluate(x))
-        total = [t + scale * c for t, c in zip(total, quot)]
-    return UniPoly(field, total)
+    powers = [[1] * n]  # powers[e][j] = x_j^e
+    for _ in range(n - 1):
+        powers.append([p * x % q for p, x in zip(powers[-1], xs)])
+    dG = [m * c for m, c in enumerate(G)][1:]
+    u = [field.inv(sum(map(mul, dG, col))) for col in zip(*powers)]
+    tails = [G[m + 1 :] for m in range(n)]
+    out = []
+    for values in value_lists:
+        v = [a * b % q for a, b in zip(u, values)]
+        P = [sum(map(mul, v, row)) % q for row in powers]
+        coeffs = [sum(map(mul, tail, P)) % q for tail in tails]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(coeffs)
+    return out
 
 
 def locator_poly(field: Field, roots: Iterable[int]) -> UniPoly:

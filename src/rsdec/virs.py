@@ -10,13 +10,14 @@ distance:
 
     tau = floor((s n - C(s+1, 2)(k - 1) - s) / (s + 1)).
 
-The decoder never eliminates A. Band i of A says r_j^i Lambda(alpha_j)
-is a codeword of GRS(n, w), w the width of Q^(s-i); its parity checks
-leave the multi-sequence key equation, a block-Hankel system in the
-syndromes over Lambda alone (`build_key_equation`). Its kernel is the
-Lambda part of A's, vector for vector, and `lift_locator` rebuilds the
-lower blocks by interpolation. virs is the one decoder on this syndrome
-side; wb and mgs decode by interpolation (`mgs.interpolation_decode`).
+The decoder never eliminates A. Its kernel is the part within the caps
+of an F[x]-module, the stacks with Q^(t) = R_t Lambda mod G, where R_t
+interpolates r^(s-t) and G = prod (x - alpha_j). `solution_module`
+gives s + 1 generators, `weak_popov` row-reduces them (Mulders and
+Storjohann) under the shifts t(k-1) that turn the caps into one degree
+bound, and `capped_span` reads the kernel off the reduced rows. virs
+works in A's coordinates; mgs reaches the same module by Koetter's
+interpolation in B-bar's (`mgs.interpolation_decode`), wb its s = 1 case.
 `build_A` stays as the tested oracle of `rsdec equiv` and `rsdec dump`.
 """
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 from .bivariate import FactorError, split_progression
 from .code import CodeSpec, Word
-from .linalg import Mat, nullspace
-from .outcome import DecodeOutcome, conclude, select_stack
-from .poly import UniPoly, lagrange_interpolate, locator_poly
+from .linalg import Mat
+from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
+from .poly import interpolate_many
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -61,8 +62,7 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     """
     if not feasible(spec.n, spec.k, s):
         raise ValueError(f"order {s} infeasible for (n, k) = ({spec.n}, {spec.k})")
-    if len(r) != spec.n:
-        raise ValueError("word length must equal n")
+    spec.check_word(r)
     q = spec.field.q
     widths = block_widths(spec.k, s, tau)
     starts = [sum(widths[:t]) for t in range(s + 1)]
@@ -83,65 +83,63 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     return Mat(spec.field, rows)
 
 
-def build_key_equation(spec: CodeSpec, r: Word, widths) -> Mat:
-    """What is left of A over the locator block alone once the blocks
-    t < s of `widths` are eliminated.
-
-    Block t interpolates r_j^(s-t) Lambda(alpha_j), which has degree
-    below widths[t] iff the values v_j pass the parity checks
-    sum_j u_j v_j alpha_j^m = 0, m < n - widths[t], where u_j is
-    1 / prod_(m != j) (alpha_j - alpha_m), that is 1 / G'(alpha_j) for
-    G = prod_j (x - alpha_j). Over Lambda these are Hankel rows in the
-    syndromes S[m] = sum_j u_j r_j^(s-t) alpha_j^m. A block wider than n
-    gives no rows but widths[t] - n free columns of the full system; as
-    many zero columns come first, so the kernel basis matches the full
-    system's, vector for vector, in length and in the locator block.
-    """
-    if len(r) != spec.n:
-        raise ValueError("word length must equal n")
+def solution_module(spec: CodeSpec, r: Word, s: int) -> list[list[list[int]]]:
+    """Generators of M: the rows G e_t (t < s) and (R_0, ..., R_(s-1), 1),
+    each s + 1 int coefficient lists, ascending; R_t interpolates r^(s-t),
+    all s in one `interpolate_many` pass."""
+    spec.check_word(r)
     q = spec.field.q
-    s = len(widths) - 1
-    top = widths[-1]
-    pad = sum(max(0, width - spec.n) for width in widths[:-1])
-    dG = locator_poly(spec.field, spec.locators).hasse(1)
-    u = [spec.field.inv(dG.evaluate(a)) for a in spec.locators]
-    rows = []
-    for t, width in enumerate(widths[:-1]):
-        checks = spec.n - width
-        if checks <= 0:
+    rpow = [list(r.symbols)]  # rpow[i] = r^(i+1)
+    for _ in range(s - 1):
+        rpow.append([v * x % q for v, x in zip(rpow[-1], r.symbols)])
+    last = interpolate_many(spec.field, spec.locators, rpow[::-1]) + [[1]]
+    G = spec.vanishing.coeffs
+    return [[list(G) if t == i else [] for t in range(s + 1)] for i in range(s)] + [last]
+
+
+def weak_popov(rows, shifts, field) -> list[int]:
+    """Mulders-Storjohann, in place, column t shifted by shifts[t]: while
+    two rows share a leading position (rightmost column of top shifted
+    degree), the higher loses its leading term to c x^d times the other.
+    Returns the shifted degrees of the rows, now in weak Popov form."""
+    q = field.q
+
+    def lead(row):
+        return max((len(p) - 1 + sh, t) for t, (p, sh) in enumerate(zip(row, shifts)) if p)
+
+    leads = [lead(row) for row in rows]
+    owner = {}
+    todo = list(range(len(rows)))
+    while todo:
+        i = todo.pop()
+        pos = leads[i][1]
+        j = owner.setdefault(pos, i)
+        if j == i:
             continue
-        v = [uj * pow(rj, s - t, q) % q for uj, rj in zip(u, r.symbols)]
-        syndromes = []
-        for _ in range(checks + top - 1):
-            syndromes.append(sum(v) % q)
-            v = [x * a % q for x, a in zip(v, spec.locators)]
-        rows.extend([0] * pad + syndromes[m : m + top] for m in range(checks))
-    # a zero row keeps the width of a system without parity checks
-    return Mat(spec.field, rows or [[0] * (pad + top)])
-
-
-def lift_locator(spec: CodeSpec, r: Word, locator: UniPoly, s: int) -> tuple[UniPoly, ...]:
-    """The blocks of A's kernel vector whose locator block is `locator`:
-    Q^(t) interpolates r_j^(s-t) Lambda(alpha_j) (the canonical basis
-    leaves its coefficients of degree >= n zero)."""
-    q = spec.field.q
-    values = [locator.evaluate(a) for a in spec.locators]
-    return tuple(
-        lagrange_interpolate(
-            spec.field, [(a, pow(v, s - t, q) * lam) for a, v, lam in zip(spec.locators, r, values)]
-        )
-        for t in range(s)
-    ) + (locator,)
+        if leads[j][0] > leads[i][0]:
+            owner[pos] = i
+            i, j = j, i
+        d = leads[i][0] - leads[j][0]
+        c = rows[i][pos][-1] * field.inv(rows[j][pos][-1]) % q
+        for a, b in zip(rows[i], rows[j]):
+            a.extend([0] * (d + len(b) - len(a)))
+            a[d : d + len(b)] = [(x - c * y) % q for x, y in zip(a[d:], b)]
+            while a and not a[-1]:
+                a.pop()
+        leads[i] = lead(rows[i])
+        todo.append(i)
+    return [deg for deg, _ in leads]
 
 
 def virs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     tau = virs_radius(spec.n, spec.k, s)
     widths = block_widths(spec.k, s, tau)
-    system = build_key_equation(spec, r, widths)
-    kernel = nullspace(system)
+    rows = solution_module(spec, r, s)
+    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(s + 1)], spec.field)
+    kernel = capped_span(rows, degrees, widths)
     try:
-        locator = select_stack(spec.field, kernel, (system.ncols - widths[-1], widths[-1]))[-1]
-        locator, f = split_progression(lift_locator(spec, r, locator, s), (1,) * (s + 1), spec.k)
+        stack = canonical_stack(spec, kernel, widths)
+        locator, f = split_progression(stack, (1,) * (s + 1), spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))

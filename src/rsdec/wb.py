@@ -34,8 +34,7 @@ def _widths(n: int, k: int) -> tuple[int, int]:
 
 def wb_build(spec: CodeSpec, r: Word) -> Mat:
     """Homogeneous system for (Q0, Q1), coefficients ascending per block."""
-    if len(r) != spec.n:
-        raise ValueError("word length must equal n")
+    spec.check_word(r)
     width0, width1 = _widths(spec.n, spec.k)
     q = spec.field.q
     rows = []

@@ -1,11 +1,9 @@
-"""virs solves the key equation over Lambda alone, and wb interpolates;
-the dense systems A and wb_build are the oracle they are held to here."""
+"""virs row-reduces its solution module, and wb interpolates; the dense
+systems A and wb_build are the oracle they are held to here."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import rsdec.linalg
 from rsdec import (
     CodeSpec,
     Field,
@@ -21,8 +19,9 @@ from rsdec import (
 )
 from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, split_progression
 from rsdec.code import random_error
-from rsdec.outcome import DecodeOutcome, conclude, select_stack
-from rsdec.virs import block_widths, build_key_equation
+from rsdec.linalg import Mat, rank
+from rsdec.outcome import DecodeOutcome, capped_span, conclude, select_stack
+from rsdec.virs import block_widths, solution_module, weak_popov
 from rsdec.wb import wb_build
 
 # (q, n, k, s): n - k odd and even, a block 0 wider than n (RS(15,4) s=3,
@@ -52,7 +51,7 @@ def dense_virs(spec, r, s):
     kernel = nullspace(build_A(spec, r, s, tau))
     try:
         stack = select_stack(spec.field, kernel, block_widths(spec.k, s, tau))
-        locator, f = split_progression(stack, (1,) * (s + 1), spec.k)
+        locator, f = split_progression(stack, (1,) * (s + 1), spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))
@@ -63,7 +62,7 @@ def dense_wb(spec, r):
     kernel = nullspace(wb_build(spec, r))
     try:
         stack = select_stack(spec.field, kernel, (spec.n - tau0, spec.n - tau0 - spec.k + 1))
-        locator, f = extract_power_factor(BiPoly(spec.field, stack), 1, spec.k)
+        locator, f = extract_power_factor(BiPoly(spec.field, stack), 1, spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau0, locator, f, len(kernel))
@@ -73,14 +72,23 @@ def summary(out):
     return (out.success, out.f, out.locator, out.reason, out.kernel_dim, out.error_positions)
 
 
+def module_span(spec, r, s):
+    """The F-basis of A's kernel that virs_decode reads off the reduced module."""
+    widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
+    rows = solution_module(spec, r, s)
+    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(s + 1)], spec.field)
+    return capped_span(rows, degrees, widths)
+
+
 @given(received_words())
-def test_kernel_is_the_locator_part_of_the_dense_kernel(case):
+def test_module_span_is_the_dense_kernel(case):
     spec, r, s = case
-    tau = virs_radius(spec.n, spec.k, s)
-    widths = block_widths(spec.k, s, tau)
-    top = widths[-1]
-    dense = nullspace(build_A(spec, r, s, tau))
-    assert [v[-top:] for v in nullspace(build_key_equation(spec, r, widths))] == [v[-top:] for v in dense]
+    A = build_A(spec, r, s, virs_radius(spec.n, spec.k, s))
+    span = module_span(spec, r, s)
+    assert len(span) == len(nullspace(A))
+    assert all(not any(A.mulvec(v)) for v in span)
+    # linearly independent, so the span is all of the dense kernel
+    assert not span or len(nullspace(Mat(spec.field, span))) == A.ncols - len(span)
 
 
 @given(received_words())
@@ -90,44 +98,28 @@ def test_decoders_match_the_dense_pipeline(case):
     assert summary(wb_decode(spec, r)) == summary(dense_wb(spec, r))
 
 
-def test_wide_block_columns_come_first_and_keep_the_dense_dimension():
-    # RS(16,4), s=5: block 0 has width 21, five columns more than n
+def test_wide_block_keeps_the_dense_dimension():
+    # RS(16,4), s=5: blocks 0 and 1 are 21 and 18 wide, 5 and 2 columns
+    # more than n, so the kernel holds seven x^i G e_t, zero in the locator
     F = Field(17)
     spec = CodeSpec(F, 16, 4)
     r = corrupt(encode(spec, UniPoly.from_ints(F, [1, 2, 3])), random_error(spec, 3, 1))
     tau = virs_radius(16, 4, 5)
     widths = block_widths(4, 5, tau)
-    assert widths[0] == 21
-    kernel = nullspace(build_key_equation(spec, r, widths))
-    assert len(kernel) == len(nullspace(build_A(spec, r, 5, tau)))
-    assert [v[-widths[-1]:] for v in kernel[:5]] == [[0] * widths[-1]] * 5
+    assert widths[:2] == (21, 18)
+    span = module_span(spec, r, 5)
+    assert len(span) == len(nullspace(build_A(spec, r, 5, tau))) == virs_decode(spec, r, 5).kernel_dim
+    assert rank(Mat(F, [v[-widths[-1]:] for v in span])) == len(span) - 7
 
 
 def test_rate_one_code_has_no_parity_checks():
+    # every word is a codeword: R_0 = r interpolated has degree < n = k,
+    # so the row (R_0, 1) is already reduced and alone within the caps
     F = Field(13)
     spec = CodeSpec(F, 6, 6)
     r = encode(spec, UniPoly.from_ints(F, [1, 2, 3, 4, 5, 6]))
-    assert build_key_equation(spec, r, (6, 1)).rows == ((0,),)
+    rows = solution_module(spec, r, 1)
+    assert rows[-1] == [[1, 2, 3, 4, 5, 6], [1]]
+    assert weak_popov(rows, [0, 5], F) == [6, 5]
     out = virs_decode(spec, r, 1)
     assert out.success and out.kernel_dim == 1
-
-
-@pytest.mark.parametrize("method,shape", [("virs", (35, 36)), ("wb", ())])
-def test_decode_eliminates_one_key_equation(monkeypatch, method, shape):
-    # RS(64,8), s=2: A would be 128 x 129 and the wb system 64 x 65; virs
-    # eliminates the 35 x 36 key equation, wb interpolates and eliminates none
-    shapes = []
-    original = rsdec.linalg._rref_ints
-
-    def recording(rows, q):
-        shapes.append((len(rows), len(rows[0])))
-        return original(rows, q)
-
-    monkeypatch.setattr(rsdec.linalg, "_rref_ints", recording)
-    F = Field(257)
-    spec = CodeSpec(F, 64, 8)
-    f = UniPoly.from_ints(F, range(1, 9))
-    r = corrupt(encode(spec, f), random_error(spec, 20, 3))
-    out = virs_decode(spec, r, 2) if method == "virs" else wb_decode(spec, r)
-    assert out.success and out.f == f
-    assert shapes == ([shape] if shape else [])

@@ -18,6 +18,7 @@ from rsdec import (
     encode,
     mgs_decode,
     nullspace,
+    virs_decode,
     virs_radius,
     wb_decode,
     wb_radius,
@@ -172,12 +173,24 @@ def test_infeasible_order_is_named_before_the_characteristic():
             decode(spec, r, 0)
 
 
+EDGE = (mgs_decode, mgs_interpolate, virs_decode, lambda spec, r, s: wb_decode(spec, r))
+
+
 @pytest.mark.parametrize("length", [15, 17])
 def test_word_length_must_equal_n(length):
     spec = ex.code()
     r = Word.from_ints(F17, [1] * length)
-    for decode in (mgs_decode, mgs_interpolate):
+    for decode in EDGE:
         with pytest.raises(ValueError, match="word length must equal n"):
+            decode(spec, r, 2)
+
+
+def test_word_over_another_field_is_rejected():
+    # a GF(257) word would otherwise be reduced mod 17 without notice
+    spec = ex.code()
+    r = Word.from_ints(Field(257), range(100, 116))
+    for decode in EDGE:
+        with pytest.raises(ValueError, match=r"word over GF\(257\), code over GF\(17\)"):
             decode(spec, r, 2)
 
 
@@ -297,7 +310,7 @@ def dense_mgs(spec, r, s):
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), None
     try:
-        locator, f = extract_power_factor(Q, s, spec.k)
+        locator, f = extract_power_factor(Q, s, spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), Q
     return conclude(spec, r, tau, locator, f, len(kernel)), Q
@@ -380,7 +393,7 @@ def test_wide_block_is_reduced_to_the_canonical_vector():
 
 
 def test_decode_eliminates_nothing(monkeypatch):
-    # RS(64,8), s=2: B-bar would be a 128 x 129 elimination, and wb's
+    # RS(64,8), s=2: B-bar and A would be 128 x 129 eliminations, and wb's
     # system, B-bar at s = 1, a 64 x 65 one
     calls = []
     original = rsdec.linalg._rref_ints
@@ -397,4 +410,5 @@ def test_decode_eliminates_nothing(monkeypatch):
     assert mgs_decode(spec, r, 2).f == f
     assert extract_power_factor(mgs_interpolate(spec, r, 2), 2, 8)[1] == f
     assert wb_decode(spec, r).f == f
+    assert virs_decode(spec, r, 2).f == f
     assert calls == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,3 +135,14 @@ def test_nullspace_dim_matches_decoder_kernel_dim(methods):
         else:
             dims = {virs_decode(spec, r, cfg.s).kernel_dim, mgs_decode(spec, r, cfg.s).kernel_dim}
         assert dims == {rec.nullspace_dim}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reference_sweep_csv_is_pinned(threads):
+    # the reference sweep: its CSV is byte-identical whatever the worker
+    # count, and a change that moves any outcome moves this hash
+    cfg = ExperimentConfig.from_json(
+        '{"q":17,"n":16,"k":4,"s":2,"weights":[5,6,7,8],"trials":100,"seed":1}'
+    )
+    digest = hashlib.sha256(run_montecarlo(cfg, threads).encode()).hexdigest()
+    assert digest == "9e202d749fb7a6a666b55fe631f730f655845117b967dc377d37f7afeb03adef"

@@ -127,7 +127,7 @@ def test_lagrange_recovers_low_degree_poly(xs, data):
 
 
 def test_lagrange_recovers_a_poly_through_rs128_locators():
-    # RS(128,8)/GF(257) size: the key-equation decoders interpolate here
+    # RS(128,8)/GF(257) size: virs interpolates on these locators
     F = Field(257)
     p = mkpoly(F, [(7 * i + 3) % 257 for i in range(101)])
     pts = [(pow(3, i, 257), p.evaluate(pow(3, i, 257))) for i in range(128)]

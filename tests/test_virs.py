@@ -250,6 +250,22 @@ def test_degenerate_widths_keep_decoders_in_agreement():
         assert a.reason == b.reason
 
 
+def test_wide_block_words_decode():
+    # RS(16,4), s=5 (tau = 5): blocks 0 and 1 are wider than n, so the
+    # canonical vector holds Lambda f^5 and Lambda f^4 reduced mod G, and
+    # the split compares them mod G
+    F = Field(17)
+    spec = CodeSpec(F, 16, 4)
+    f = UniPoly.from_ints(F, [1, 2, 3, 4])
+    assert block_widths(4, 5, virs_radius(16, 4, 5))[:2] == (21, 18)
+    for wt in range(1, 6):
+        for seed in range(1, 40):
+            r = corrupt(encode(spec, f), random_error(spec, wt, seed))
+            a = virs_decode(spec, r, 5)
+            assert a == mgs_decode(spec, r, 5)
+            assert a.success and a.f == f
+
+
 @pytest.mark.parametrize("scalars", [(1, 1, 1), scaling_scalars(2, 17)])
 def test_split_rejects_a_stack_that_is_not_a_power_progression(scalars):
     # scalars of virs, then of mgs; the division alone passes on both stacks
