@@ -1,9 +1,11 @@
 """virs row-reduces its solution module, and wb interpolates; the dense
 systems A and wb_build are the oracle they are held to here."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rsdec.linalg
 from rsdec import (
     CodeSpec,
     Field,
@@ -123,3 +125,28 @@ def test_rate_one_code_has_no_parity_checks():
     assert weak_popov(rows, [0, 5], F) == [6, 5]
     out = virs_decode(spec, r, 1)
     assert out.success and out.kernel_dim == 1
+
+
+@pytest.mark.parametrize("method,shape", [("virs", (128, 129)), ("wb", (64, 65))])
+def test_decode_eliminates_one_key_equation(monkeypatch, method, shape):
+    # RS(64,8), s=2: shape is the dense system each decoder stands in for
+    # (A for virs, wb_build for wb). virs once eliminated its 35 x 36 key
+    # equation; it now row-reduces the solution module, and wb interpolates,
+    # so neither eliminates any matrix
+    F = Field(257)
+    spec = CodeSpec(F, 64, 8)
+    f = UniPoly.from_ints(F, range(1, 9))
+    r = corrupt(encode(spec, f), random_error(spec, 20, 3))
+    dense = build_A(spec, r, 2, virs_radius(64, 8, 2)) if method == "virs" else wb_build(spec, r)
+    assert (dense.nrows, dense.ncols) == shape
+    shapes = []
+    original = rsdec.linalg._rref_ints
+
+    def recording(rows, q):
+        shapes.append((len(rows), len(rows[0])))
+        return original(rows, q)
+
+    monkeypatch.setattr(rsdec.linalg, "_rref_ints", recording)
+    out = virs_decode(spec, r, 2) if method == "virs" else wb_decode(spec, r)
+    assert out.success and out.f == f
+    assert shapes == []
