@@ -1,6 +1,6 @@
 """Reed-Solomon decoding beyond half the minimum distance.
 
-Three decoders on two routes to one solution space:
+Three decoders, one row-reduction kernel (`virs.module_kernel`):
 
 - wb: classical decoding up to floor((n-k)/2) errors, the list-size-1
   case of interpolation;
@@ -8,7 +8,7 @@ Three decoders on two routes to one solution space:
   locator, radius floor((sn - C(s+1,2)(k-1) - s) / (s+1)), decoded by
   row-reducing its solution module;
 - mgs: bivariate interpolation with an s-fold y-root, same radius,
-  decoded by Koetter's iterative interpolation like wb.
+  decoded by row-reducing virs's module scaled by D(s), like wb at s = 1.
 
 The equiv module certifies that the systems of virs and mgs have the
 same solution space up to an explicit diagonal change of coordinates.

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .field import Field
-from .poly import UniPoly, lagrange_interpolate, locator_poly
+from .poly import Interpolator, UniPoly, locator_poly
 from .rng import Stream
 
 
@@ -52,6 +52,11 @@ class CodeSpec:
     def vanishing(self) -> UniPoly:
         """G = prod (x - locator_i), zero at every code locator."""
         return locator_poly(self.field, self.locators)
+
+    @cached_property
+    def interpolator(self) -> Interpolator:
+        """Interpolation on the code locators, built on first use."""
+        return Interpolator(self.vanishing, self.locators)
 
     def positions_of_roots(self, p: UniPoly) -> tuple[int, ...]:
         """Indices i with p(locators[i]) = 0."""
@@ -150,4 +155,4 @@ def random_error(spec: CodeSpec, wt: int, seed: int) -> Word:
 
 def interpolate_word(spec: CodeSpec, w: Word) -> UniPoly:
     """Lagrange polynomial through (locator_i, w_i); degree < n."""
-    return lagrange_interpolate(spec.field, list(zip(spec.locators, w.symbols)))
+    return UniPoly(spec.field, spec.interpolator([w.symbols])[0])

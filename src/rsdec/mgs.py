@@ -11,32 +11,37 @@ factors as Q^(s)(x) (y - f(x))^s: the error locator times an s-fold
 root at the message polynomial. Decoding is therefore interpolation
 followed by power-factor extraction, no root finding over y needed.
 
-The decoder never eliminates the constraint matrix B-bar. Its rows are
-functionals that commute with multiplication by x up to the point's
-locator, so Koetter's iterative interpolation (`interpolation_kernel`)
-gives the whole solution space from s + 1 polynomials updated point by
-point; `outcome.canonical_stack` picks the locator from that span and
-reduces the lower blocks mod prod (x - alpha_j) to the canonical kernel
-vector, so every outcome and reason is the dense pipeline's. virs
-reaches the same module by row reduction in A's coordinates. wb runs
-this route (`interpolation_decode`) too, at s = 1 on its own caps: the
-wb system is B-bar's rows at s = 1. `build_Bbar` stays as the tested
-oracle of `rsdec equiv`, `rsdec dump` and `mc`.
+The decoder never eliminates the constraint matrix B-bar. Q meets its
+conditions at (alpha_j, r_j) exactly when (y - r_j)^s divides
+Q(alpha_j, y), so the solutions form the F[x]-module spanned by the
+G y^t (t < s) and (y - R)^s, with R interpolating r and
+G = prod (x - alpha_j). Reduced mod G the last generator is
+y^s + sum_t D_t R_t y^t, virs's last generator scaled by D(s): mgs runs
+`virs.module_kernel` with the scalars D(s) (`interpolation_kernel`), and
+`outcome.canonical_stack` picks the canonical kernel vector from the
+span, so every outcome and reason is the dense pipeline's. wb runs this
+route (`interpolation_decode`) too, at s = 1 on its own caps: the wb
+system is B-bar's rows at s = 1. `build_Bbar` stays as the tested oracle
+of `rsdec equiv`, `rsdec dump` and `mc`.
+
+The module holds in every characteristic. Where D(s) is singular mod q
+(some C(s, t) = 0, possible once s >= q), the conditions on B-bar drop
+the blocks with D_t = 0 from the last generator, so B-bar's space is not
+A's scaled by D: mgs then keeps to B-bar and virs to A, and the two can
+fail for different reasons, as on RS(4,1) over GF(5) with s = 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from operator import mul
 
-from .bivariate import BiPoly, FactorError, extract_power_factor, hasse_y, substitute_y
+from .bivariate import BiPoly, FactorError, extract_power_factor, hasse_y, scaling_scalars, substitute_y
 from .code import CodeSpec, Word, interpolate_word
 from .field import binom_mod
 from .linalg import Mat
-from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
+from .outcome import DecodeOutcome, canonical_stack, conclude
 from .poly import locator_poly, poly_divrem
-from .virs import block_widths, feasible, virs_radius
+from .virs import block_widths, feasible, module_kernel, virs_radius
 
 
 @dataclass(frozen=True)
@@ -80,52 +85,9 @@ def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
 
 
 def interpolation_kernel(spec: CodeSpec, r: Word, widths) -> list[list[int]]:
-    """A basis of ker B-bar by Koetter's iterative interpolation; B-bar
-    itself is never built.
-
-    Each row of B-bar is a functional L(Q) = sum_(t>=b) C(t, b) r_j^(t-b)
-    Q^(t)(alpha_j) with L(x Q) = alpha_j L(Q), so the solutions of any
-    set of rows form an F[x]-module. Starting from g_t = y^t, each row
-    picks, among the g_i it does not annihilate, the g* of smallest
-    leading term under the (1, k-1)-weighted degree (ties by y-degree),
-    clears the others against it and multiplies it by x - alpha_j. The
-    final g_0..g_s are a Groebner basis with one leading term per
-    y-degree, which `capped_span` spans within the caps of `widths`.
-    """
-    spec.check_word(r)
-    q = spec.field.q
-    s = len(widths) - 1
-    w = spec.k - 1
-    coef = [[binom_mod(t, b, q) for t in range(s + 1)] for b in range(s)]
-    basis = [[[1] if t == i else [] for t in range(s + 1)] for i in range(s + 1)]
-    wdeg = [i * w for i in range(s + 1)]
-    for a, rj in zip(spec.locators, r.symbols):
-        rpow = [pow(rj, e, q) for e in range(s + 1)]
-        apow = [pow(a, e, q) for e in range(max(wdeg) + 1)]
-        # g_i^(t)(alpha_j), kept current through the updates of this point
-        values = [[sum(map(mul, comp, apow)) % q for comp in g] for g in basis]
-        for b in range(s):
-            row = [coef[b][t] * rpow[t - b] % q for t in range(b, s + 1)]
-            delta = [sum(c * v for c, v in zip(row, vals[b:])) % q for vals in values]
-            live = [i for i in range(s + 1) if delta[i]]
-            if not live:
-                continue
-            star = min(live, key=lambda i: (wdeg[i], i))
-            inv = spec.field.inv(delta[star])
-            for i in live:
-                if i != star:
-                    c = delta[i] * inv % q
-                    basis[i] = [
-                        [(u - c * v) % q for u, v in zip_longest(p, g, fillvalue=0)]
-                        for p, g in zip(basis[i], basis[star])
-                    ]
-                    values[i] = [(v - c * u) % q for v, u in zip(values[i], values[star])]
-            # g* <- (x - alpha_j) g*, which every row of this point annihilates
-            basis[star] = [[(p - a * c) % q for p, c in zip([0] + g, g + [0])] if g else g
-                           for g in basis[star]]
-            values[star] = [0] * (s + 1)
-            wdeg[star] += 1
-    return capped_span(basis, wdeg, widths)
+    """A basis of the solutions of B-bar within the caps `widths`: the
+    module kernel under the scalars D(s), s = len(widths) - 1."""
+    return module_kernel(spec, r, scaling_scalars(len(widths) - 1, spec.field.q), widths)
 
 
 def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
@@ -134,7 +96,7 @@ def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
 
 
 def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths) -> DecodeOutcome:
-    """Decode on the interpolation side: Koetter's span of the system with
+    """Decode on the interpolation side: the span of the system with
     `widths`, `canonical_stack`, then the split Q = Lambda (y - f)^s with
     s = len(widths) - 1, accepted within radius tau."""
     kernel = interpolation_kernel(spec, r, widths)

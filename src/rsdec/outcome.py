@@ -3,14 +3,14 @@
 Every decoder runs the same pipeline: reduce a basis of its solution
 module, span it within the caps (`capped_span`), pick the canonical
 vector (`canonical_stack`), split it into (Lambda, f) with
-`bivariate.split_progression`, and accept through `conclude`. virs
-reduces by Mulders-Storjohann, mgs and wb, its s = 1 case, by Koetter
-interpolation (`mgs.interpolation_decode`). The decoders differ only in
-their system and in the block scalars c of a decodable stack
-Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs and D(1) for wb
-(the last two through `extract_power_factor`). `select_stack` depends
-on the space only, not on the basis it is given: the locator is the
-unique monic top block of lowest degree.
+`bivariate.split_progression`, and accept through `conclude`. The first
+two are `virs.module_kernel`, Mulders-Storjohann reduction for all
+three. The decoders differ only in their caps and in the block scalars
+c of the module's last generator and of a decodable stack
+Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs and D(1) for
+wb (the last two split through `extract_power_factor`). `select_stack`
+depends on the space only, not on the basis it is given: the locator is
+the unique monic top block of lowest degree.
 """
 
 from __future__ import annotations

@@ -184,33 +184,45 @@ def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> Uni
     xs = [x % q for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x-coordinate")
-    return UniPoly(field, interpolate_many(field, xs, [[y for _, y in points]])[0])
+    return UniPoly(field, Interpolator(locator_poly(field, xs), xs)([[y for _, y in points]])[0])
 
 
-def interpolate_many(field: Field, xs: Sequence[int], value_lists) -> list[list[int]]:
-    """Coefficients, ascending and stripped, of the polynomial of degree
-    < len(xs) through the (x_j, v_j), for each list v in `value_lists`.
-    It is sum_j u_j v_j G / (x - x_j) with G = prod (x - x_j) and
-    u_j = 1 / G'(x_j), so coefficient m is sum_(l>m) G[l] P[l-m-1] in
-    P[e] = sum_j u_j v_j x_j^e. The lists share G, u and the x_j^e."""
-    q = field.q
-    n = len(xs)
-    G = locator_poly(field, xs).coeffs
-    powers = [[1] * n]  # powers[e][j] = x_j^e
-    for _ in range(n - 1):
-        powers.append([p * x % q for p, x in zip(powers[-1], xs)])
-    dG = [m * c for m, c in enumerate(G)][1:]
-    u = [field.inv(sum(map(mul, dG, col))) for col in zip(*powers)]
-    tails = [G[m + 1 :] for m in range(n)]
-    out = []
-    for values in value_lists:
-        v = [a * b % q for a, b in zip(u, values)]
-        P = [sum(map(mul, v, row)) % q for row in powers]
-        coeffs = [sum(map(mul, tail, P)) % q for tail in tails]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        out.append(coeffs)
-    return out
+class Interpolator:
+    """Interpolation on fixed distinct points x_j, G = prod (x - x_j).
+
+    The polynomial of degree < n through the (x_j, v_j) is
+    sum_j u_j v_j G / (x - x_j) with u_j = 1 / G'(x_j), so coefficient m
+    is sum_(l>m) G[l] P[l-m-1] in P[e] = sum_j u_j x_j^e v_j. The tails
+    of G and the table u_j x_j^e depend on the points only: they are
+    built once, here, and every call costs two matrix-vector products.
+    """
+
+    __slots__ = ("q", "weighted", "tails")
+
+    def __init__(self, G: UniPoly, xs: Sequence[int]):
+        q = G.field.q
+        n = len(xs)
+        powers = [[1] * n]  # powers[e][j] = x_j^e
+        for _ in range(n - 1):
+            powers.append([p * x % q for p, x in zip(powers[-1], xs)])
+        dG = [m * c for m, c in enumerate(G.coeffs)][1:]
+        u = [G.field.inv(sum(map(mul, dG, col))) for col in zip(*powers)]
+        self.q = q
+        self.weighted = [[a * b % q for a, b in zip(u, row)] for row in powers]
+        self.tails = [G.coeffs[m + 1 :] for m in range(n)]
+
+    def __call__(self, value_lists) -> list[list[int]]:
+        """Coefficients, ascending and stripped, of the interpolant of each
+        list of values v_j in `value_lists`."""
+        q = self.q
+        out = []
+        for values in value_lists:
+            P = [sum(map(mul, values, row)) % q for row in self.weighted]
+            coeffs = [sum(map(mul, tail, P)) % q for tail in self.tails]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            out.append(coeffs)
+        return out
 
 
 def locator_poly(field: Field, roots: Iterable[int]) -> UniPoly:

@@ -15,9 +15,10 @@ of an F[x]-module, the stacks with Q^(t) = R_t Lambda mod G, where R_t
 interpolates r^(s-t) and G = prod (x - alpha_j). `solution_module`
 gives s + 1 generators, `weak_popov` row-reduces them (Mulders and
 Storjohann) under the shifts t(k-1) that turn the caps into one degree
-bound, and `capped_span` reads the kernel off the reduced rows. virs
-works in A's coordinates; mgs reaches the same module by Koetter's
-interpolation in B-bar's (`mgs.interpolation_decode`), wb its s = 1 case.
+bound, and `capped_span` reads the kernel off the reduced rows. That is
+`module_kernel`, the one kernel of every decoder: virs calls it with
+all-ones scalars in A's coordinates, mgs with D(s) in B-bar's
+(`mgs.interpolation_decode`), and wb with D(1) on its own caps.
 `build_A` stays as the tested oracle of `rsdec equiv` and `rsdec dump`.
 """
 
@@ -27,7 +28,6 @@ from .bivariate import FactorError, split_progression
 from .code import CodeSpec, Word
 from .linalg import Mat
 from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
-from .poly import interpolate_many
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -83,16 +83,20 @@ def build_A(spec: CodeSpec, r: Word, s: int, tau: int) -> Mat:
     return Mat(spec.field, rows)
 
 
-def solution_module(spec: CodeSpec, r: Word, s: int) -> list[list[list[int]]]:
-    """Generators of M: the rows G e_t (t < s) and (R_0, ..., R_(s-1), 1),
-    each s + 1 int coefficient lists, ascending; R_t interpolates r^(s-t),
-    all s in one `interpolate_many` pass."""
+def solution_module(spec: CodeSpec, r: Word, scalars) -> list[list[list[int]]]:
+    """Generators of the module of stacks Q with Q^(t) = c_t R_t Q^(s)
+    mod G, c = `scalars` (s + 1 of them, c_s = 1): the rows G e_t (t < s)
+    and (c_0 R_0, ..., c_(s-1) R_(s-1), c_s), each s + 1 int coefficient
+    lists, ascending; R_t interpolates r^(s-t), all s on the code's
+    `interpolator`."""
     spec.check_word(r)
     q = spec.field.q
+    s = len(scalars) - 1
     rpow = [list(r.symbols)]  # rpow[i] = r^(i+1)
     for _ in range(s - 1):
         rpow.append([v * x % q for v, x in zip(rpow[-1], r.symbols)])
-    last = interpolate_many(spec.field, spec.locators, rpow[::-1]) + [[1]]
+    polys = spec.interpolator(rpow[::-1]) + [[1]]
+    last = [[c * v % q for v in p] if c else [] for c, p in zip(scalars, polys)]
     G = spec.vanishing.coeffs
     return [[list(G) if t == i else [] for t in range(s + 1)] for i in range(s)] + [last]
 
@@ -131,15 +135,25 @@ def weak_popov(rows, shifts, field) -> list[int]:
     return [deg for deg, _ in leads]
 
 
+def module_kernel(spec: CodeSpec, r: Word, scalars, widths) -> list[list[int]]:
+    """The kernel every decoder reads: the elements within the caps
+    `widths` of the module `solution_module(spec, r, scalars)` generates,
+    as flat vectors. `weak_popov` reduces the generators under the shifts
+    t(k-1) that turn the caps into one degree bound, and `capped_span`
+    spans the reduced rows within it."""
+    rows = solution_module(spec, r, scalars)
+    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(len(rows))], spec.field)
+    return capped_span(rows, degrees, widths)
+
+
 def virs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     tau = virs_radius(spec.n, spec.k, s)
     widths = block_widths(spec.k, s, tau)
-    rows = solution_module(spec, r, s)
-    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(s + 1)], spec.field)
-    kernel = capped_span(rows, degrees, widths)
+    ones = (1,) * (s + 1)
+    kernel = module_kernel(spec, r, ones, widths)
     try:
         stack = canonical_stack(spec, kernel, widths)
-        locator, f = split_progression(stack, (1,) * (s + 1), spec.k, spec.vanishing)
+        locator, f = split_progression(stack, ones, spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))

@@ -8,8 +8,9 @@ one exact polynomial division and Q1 is the error locator.
 
 These are the rows of B-bar at s = 1 on wb's caps, so wb is the
 list-size-1 case of the interpolation decoder: it runs
-`mgs.interpolation_decode` (Koetter's interpolation) with s = 1 and
-radius tau0. `wb_build` stays as the tested dense oracle.
+`mgs.interpolation_decode` with s = 1 and radius tau0, which row-reduces
+the module of (G, 0) and (-R, 1), R interpolating r: virs's module
+scaled by D(1) = (-1, 1). `wb_build` stays as the tested dense oracle.
 """
 
 from __future__ import annotations

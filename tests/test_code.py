@@ -5,7 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gf17_example as ex
-from rsdec import CodeSpec, Field, UniPoly, Word, corrupt, encode, power_word
+import rsdec.poly
+from rsdec import (
+    CodeSpec,
+    Field,
+    UniPoly,
+    Word,
+    corrupt,
+    encode,
+    mgs_decode,
+    power_word,
+    virs_decode,
+    wb_decode,
+)
 from rsdec.code import default_locators, interpolate_word, random_error, support, weight
 
 F7 = Field(7)
@@ -149,3 +161,27 @@ def test_interpolate_word_recovers_message():
 def test_default_locators_need_enough_points():
     with pytest.raises(ValueError):
         CodeSpec(F7, 6, 2, locators=default_locators(F7, 5))
+
+
+def test_interpolation_table_is_built_on_first_decode_once(monkeypatch):
+    # the benchmark's set-up (CodeSpec, encode, random_error, corrupt)
+    # stays cold; the first decode builds the code's table and every later
+    # decode, by any decoder, reuses it
+    built = []
+    original = rsdec.poly.Interpolator.__init__
+
+    def recording(self, G, xs):
+        built.append(tuple(xs))
+        original(self, G, xs)
+
+    monkeypatch.setattr(rsdec.poly.Interpolator, "__init__", recording)
+    spec = CodeSpec(Field(17), 16, 4)
+    words = [
+        corrupt(encode(spec, UniPoly.from_ints(spec.field, [seed, 1, 2, 3])), random_error(spec, 6, seed))
+        for seed in range(3)
+    ]
+    assert built == [] and "interpolator" not in vars(spec)
+    for r in words:
+        for out in (wb_decode(spec, r), virs_decode(spec, r, 2), mgs_decode(spec, r, 2)):
+            assert out.success
+    assert built == [spec.locators]

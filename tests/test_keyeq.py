@@ -22,8 +22,8 @@ from rsdec import (
 from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, split_progression
 from rsdec.code import random_error
 from rsdec.linalg import Mat, rank
-from rsdec.outcome import DecodeOutcome, capped_span, conclude, select_stack
-from rsdec.virs import block_widths, solution_module, weak_popov
+from rsdec.outcome import DecodeOutcome, conclude, select_stack
+from rsdec.virs import block_widths, module_kernel, solution_module, weak_popov
 from rsdec.wb import wb_build
 
 # (q, n, k, s): n - k odd and even, a block 0 wider than n (RS(15,4) s=3,
@@ -77,9 +77,7 @@ def summary(out):
 def module_span(spec, r, s):
     """The F-basis of A's kernel that virs_decode reads off the reduced module."""
     widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
-    rows = solution_module(spec, r, s)
-    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(s + 1)], spec.field)
-    return capped_span(rows, degrees, widths)
+    return module_kernel(spec, r, (1,) * (s + 1), widths)
 
 
 @given(received_words())
@@ -120,7 +118,7 @@ def test_rate_one_code_has_no_parity_checks():
     F = Field(13)
     spec = CodeSpec(F, 6, 6)
     r = encode(spec, UniPoly.from_ints(F, [1, 2, 3, 4, 5, 6]))
-    rows = solution_module(spec, r, 1)
+    rows = solution_module(spec, r, (1, 1))
     assert rows[-1] == [[1, 2, 3, 4, 5, 6], [1]]
     assert weak_popov(rows, [0, 5], F) == [6, 5]
     out = virs_decode(spec, r, 1)

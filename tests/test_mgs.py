@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -18,6 +19,7 @@ from rsdec import (
     encode,
     mgs_decode,
     nullspace,
+    scaling_map,
     virs_decode,
     virs_radius,
     wb_decode,
@@ -27,10 +29,11 @@ from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, hasse_mix
 from rsdec.code import interpolate_word, random_error
 from rsdec.gs import multiplicity_at
 from rsdec.mgs import errorfree_divisibility_check, interpolation_kernel, mgs_interpolate
-from rsdec.outcome import conclude, select_stack
+from rsdec.outcome import canonical_stack, conclude, select_stack
 from rsdec.poly import locator_poly, poly_divrem
 from rsdec.virs import block_widths
 from rsdec.wb import wb_build
+from test_keyeq import dense_virs, dense_wb
 
 F17 = Field(17)
 
@@ -377,16 +380,24 @@ def test_select_stack_does_not_depend_on_the_basis(case, seed):
 
 
 def test_wide_block_is_reduced_to_the_canonical_vector():
-    # RS(15,4), s=3: block 0 has 16 columns, one more than n. The kernel
-    # vector selected from the Koetter span reaches degree n there; modulo
-    # G it is the canonical vector, and only that one splits
+    # RS(15,4), s=3: block 0 has 16 columns, one more than n, so G e_0 is a
+    # kernel vector with a zero locator. Added to the canonical vector it
+    # gives one with the same locator and degree n in block 0; modulo G it
+    # is the canonical vector again, and only that one splits
     F = Field(17)
     spec = CodeSpec(F, 15, 4)
     f = UniPoly.from_ints(F, [1, 2, 3, 4])
     r = corrupt(encode(spec, f), random_error(spec, 3, 5))
-    widths = block_widths(4, 3, virs_radius(15, 4, 3))
+    tau = virs_radius(15, 4, 3)
+    widths = block_widths(4, 3, tau)
     assert widths[0] == 16
-    assert select_stack(F, interpolation_kernel(spec, r, widths), widths)[0].degree == 15
+    canonical = canonical_stack(spec, interpolation_kernel(spec, r, widths), widths)
+    detour = [p.coeffs + (0,) * (width - len(p.coeffs)) for p, width in zip(canonical, widths)]
+    detour[0] = [(a + g) % 17 for a, g in zip(detour[0], spec.vanishing.coeffs)]
+    detour = [c for block in detour for c in block]
+    assert not any(build_Bbar(spec, r, 3, tau).matrix.mulvec(detour))
+    assert select_stack(F, [detour], widths)[0].degree == 15
+    assert canonical_stack(spec, [detour], widths) == canonical
     _, Q = dense_mgs(spec, r, 3)
     assert mgs_interpolate(spec, r, 3) == Q
     assert mgs_decode(spec, r, 3).f == f
@@ -412,3 +423,42 @@ def test_decode_eliminates_nothing(monkeypatch):
     assert wb_decode(spec, r).f == f
     assert virs_decode(spec, r, 2).f == f
     assert calls == []
+
+
+def test_codes_on_other_locators_keep_their_own_tables():
+    # two codes with the same field and n but different locators, decoded
+    # alternately: a table shared by (q, n) would interpolate on the wrong
+    # points for one of them
+    F = Field(17)
+    specs = (CodeSpec(F, 8, 2), CodeSpec(F, 8, 2, locators=(1, 2, 4, 8, 16, 15, 13, 9)))
+    assert specs[0].locators != specs[1].locators
+    rng = random.Random(8)
+    for i in range(12):
+        spec = specs[i % 2]
+        f = UniPoly.from_ints(F, [rng.randrange(17) for _ in range(2)])
+        r = corrupt(encode(spec, f), random_error(spec, i % 5, rng.randrange(2**32)))
+        assert summary(wb_decode(spec, r)) == summary(dense_wb(spec, r))
+        assert summary(virs_decode(spec, r, 3)) == summary(dense_virs(spec, r, 3))
+        assert summary(mgs_decode(spec, r, 3)) == summary(dense_mgs(spec, r, 3)[0])
+
+
+def test_singular_scaling_map_parts_virs_from_mgs():
+    # RS(4,1)/GF(5), s=6: C(6, t) = 0 mod 5 for t = 2, 3, 4, so D(6) is
+    # singular and B-bar's solutions are not A's scaled by it. On every
+    # word virs keeps to the dense A and mgs to the dense B-bar, and on
+    # some words the two then fail for different reasons
+    F = Field(5)
+    spec = CodeSpec(F, 4, 1)
+    assert scaling_map(6, F) == (1, 4, 0, 0, 0, 4, 1)
+    parted = 0
+    for symbols in itertools.product(range(5), repeat=4):
+        r = Word.from_ints(F, symbols)
+        v, m = virs_decode(spec, r, 6), mgs_decode(spec, r, 6)
+        assert summary(v) == summary(dense_virs(spec, r, 6))
+        assert summary(m) == summary(dense_mgs(spec, r, 6)[0])
+        parted += summary(v) != summary(m)
+    assert parted > 0
+    r = Word.from_ints(F, [2, 4, 0, 3])
+    v, m = virs_decode(spec, r, 6), mgs_decode(spec, r, 6)
+    assert (v.success, v.reason, v.kernel_dim) == (False, "interpolation system has no nonzero solution", 0)
+    assert (m.success, m.reason, m.kernel_dim) == (False, "locator does not divide the message component", 1)
