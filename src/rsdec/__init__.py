@@ -16,8 +16,9 @@ This namespace exports what the README, the scripts and the CLI use;
 everything else is imported from its submodule.
 """
 
+from .bivariate import scaling_map
 from .code import CodeSpec, Word, corrupt, encode, power_word
-from .equiv import nullspace_equivalence, scaling_map
+from .equiv import nullspace_equivalence
 from .field import Field
 from .linalg import nullspace
 from .mgs import build_Bbar, mgs_decode

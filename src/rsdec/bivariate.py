@@ -49,10 +49,6 @@ class BiPoly:
     def from_uni(cls, p: UniPoly) -> "BiPoly":
         return cls(p.field, (p,))
 
-    @classmethod
-    def y(cls, field: Field) -> "BiPoly":
-        return cls(field, (UniPoly.zero(field), UniPoly.one(field)))
-
     @property
     def ydeg(self):
         return len(self.components) - 1 if self.components else NEG_INF
@@ -172,21 +168,6 @@ def hasse_mixed(Q: BiPoly, a: int, b: int, x0: int, y0: int) -> int:
     return shift(Q, x0, y0).component(b).coeff(a)
 
 
-def weighted_degree(Q: BiPoly, u: int, v: int) -> int:
-    """max of u*i + v*t over monomials x^i y^t with nonzero coefficient."""
-    if Q.is_zero():
-        raise ValueError("zero polynomial has no weighted degree")
-    best = None
-    for t, p in enumerate(Q.components):
-        for i, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            w = u * i + v * t
-            if best is None or w > best:
-                best = w
-    return best
-
-
 def substitute_y(Q: BiPoly, g: UniPoly) -> UniPoly:
     """Q(x, g(x)), by Horner in the y-components."""
     if Q.field != g.field:
@@ -197,11 +178,12 @@ def substitute_y(Q: BiPoly, g: UniPoly) -> UniPoly:
     return acc
 
 
-def scaling_scalars(s: int, q: int) -> tuple[int, ...]:
+def scaling_map(s: int, field: Field) -> tuple[int, ...]:
     """Block-t scalar (-1)^(s-t) C(s, t) mod q of the map D(s), t = 0..s:
     the y^t coefficient of Lambda (y - f)^s is D_t Lambda f^(s-t)."""
     if s < 1:
         raise ValueError("order must be positive")
+    q = field.q
     return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
 
 
@@ -243,9 +225,8 @@ def extract_power_factor(Q: BiPoly, s: int, k: int, modulus=None) -> tuple[UniPo
         raise ValueError("power must be positive")
     if k < 1:
         raise ValueError("degree bound must be positive")
-    q = Q.field.q
-    if s % q == 0:
+    if s % Q.field.q == 0:
         raise ValueError("field characteristic divides the power")
     if Q.ydeg != s:
         raise FactorError("shape", f"y-degree {Q.ydeg} does not match power {s}")
-    return split_progression(Q.components, scaling_scalars(s, q), k, modulus)
+    return split_progression(Q.components, scaling_map(s, Q.field), k, modulus)

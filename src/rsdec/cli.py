@@ -150,15 +150,18 @@ def _cmd_dump(args) -> int:
     if args.matrix == "wb":
         if args.tau is not None:
             raise ValueError("--tau does not apply to --matrix wb, whose radius is (n - k) // 2")
+        if args.s is not None:
+            raise ValueError("--s does not apply to --matrix wb, whose system is B-bar at s = 1")
         matrix = wb_build(spec, word)
     else:
-        tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, args.s)
+        s = 2 if args.s is None else args.s
+        tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, s)
         if args.matrix == "A":
-            matrix = build_A(spec, word, args.s, tau)
+            matrix = build_A(spec, word, s, tau)
         elif args.matrix == "Bbar":
-            matrix = build_Bbar(spec, word, args.s, tau).matrix
+            matrix = build_Bbar(spec, word, s, tau).matrix
         else:
-            matrix = build_B(spec, word, args.s, tau)
+            matrix = build_B(spec, word, s, tau)
     for row in matrix.rows:
         print(" ".join(str(v) for v in row))
     return 0
@@ -230,7 +233,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", choices=("A", "Bbar", "B", "wb"), required=True)
     p.add_argument("--in", dest="infile", type=str, required=True)
     _add_code_flags(p)
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=int, default=None, help="interleaving/multiplicity order (default 2; not for wb)")
     p.add_argument("--tau", type=int, default=None)
     p.set_defaults(func=_cmd_dump)
 
@@ -259,9 +262,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(err.code, file=sys.stderr)
             return 1
         return 0 if err.code in (0, None) else 1
-    if args.command == "corrupt" and args.e is None:
-        if args.weight is None or args.seed is None:
+    if args.command == "corrupt":
+        if args.e is None and (args.weight is None or args.seed is None):
             print("rsdec corrupt: error: need --e or both --weight and --seed", file=sys.stderr)
+            return 1
+        if args.e is not None and (args.weight is not None or args.seed is not None):
+            print("rsdec corrupt: error: --e excludes --weight and --seed", file=sys.stderr)
             return 1
     try:
         return args.func(args)

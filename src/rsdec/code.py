@@ -111,10 +111,6 @@ def weight(w: Word) -> int:
     return sum(1 for v in w.symbols if v)
 
 
-def support(w: Word) -> tuple[int, ...]:
-    return tuple(i for i, v in enumerate(w.symbols) if v)
-
-
 def encode(spec: CodeSpec, f: UniPoly) -> Word:
     if f.field != spec.field:
         raise ValueError("mixed fields")

@@ -7,7 +7,8 @@ stack solving A is Q^(t) = Lambda f^(s-t), then expanding
     Lambda (y - f)^s = sum_t (-1)^(s-t) C(s, t) (Lambda f^(s-t)) y^t
 
 shows the interpolation stack is Qbar^(t) = (-1)^(s-t) C(s, t) Q^(t):
-a diagonal column scaling D, constant on each block. Hence B = Bbar D
+a diagonal column scaling D, constant on each block, whose scalars are
+`bivariate.scaling_map`, the decoders' own. Hence B = Bbar D
 has the same nullspace as A, which this module checks directly by
 basis membership in both directions rather than replaying row
 operations.
@@ -15,16 +16,10 @@ operations.
 
 from __future__ import annotations
 
-from .bivariate import scaling_scalars
+from .bivariate import scaling_map
 from .code import CodeSpec, Word
-from .field import Field
 from .linalg import Mat, nullspace
 from .mgs import build_Bbar
-
-
-def scaling_map(s: int, field: Field) -> tuple[int, ...]:
-    """The block scalars of D: (-1)^(s-t) C(s, t) mod q for t = 0..s."""
-    return scaling_scalars(s, field.q)
 
 
 def _scale(q: int, vec, scalars, widths) -> list[int]:

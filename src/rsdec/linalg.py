@@ -90,11 +90,6 @@ def _rref_ints(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], 
     return work, pivots
 
 
-def rank(mat: Mat) -> int:
-    _, pivots = _rref_ints(mat.rows, mat.field.q)
-    return len(pivots)
-
-
 def nullspace(mat: Mat) -> list[list[int]]:
     """Canonical basis of the right kernel, one vector per free column."""
     q = mat.field.q

@@ -16,13 +16,13 @@ conditions at (alpha_j, r_j) exactly when (y - r_j)^s divides
 Q(alpha_j, y), so the solutions form the F[x]-module spanned by the
 G y^t (t < s) and (y - R)^s, with R interpolating r and
 G = prod (x - alpha_j). Reduced mod G the last generator is
-y^s + sum_t D_t R_t y^t, virs's last generator scaled by D(s): mgs runs
-`virs.module_kernel` with the scalars D(s) (`interpolation_kernel`), and
-`outcome.canonical_stack` picks the canonical kernel vector from the
-span, so every outcome and reason is the dense pipeline's. wb runs this
-route (`interpolation_decode`) too, at s = 1 on its own caps: the wb
-system is B-bar's rows at s = 1. `build_Bbar` stays as the tested oracle
-of `rsdec equiv`, `rsdec dump` and `mc`.
+y^s + sum_t D_t R_t y^t, virs's last generator scaled by D(s):
+`interpolation_decode` runs `virs.module_kernel` with the scalars D(s),
+and `outcome.canonical_stack` picks the canonical kernel vector from the
+span, so every outcome and reason is the dense pipeline's. wb is this
+route at s = 1 on its own caps, and its system `wb.wb_build` is
+`build_Bbar` at s = 1. The dense B-bar serves `rsdec equiv`,
+`rsdec dump` and `mc`, and is the oracle the tests hold the span to.
 
 The module holds in every characteristic. Where D(s) is singular mod q
 (some C(s, t) = 0, possible once s >= q), the conditions on B-bar drop
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivariate import BiPoly, FactorError, extract_power_factor, hasse_y, scaling_scalars, substitute_y
-from .code import CodeSpec, Word, interpolate_word
+from .bivariate import BiPoly, FactorError, extract_power_factor, scaling_map
+from .code import CodeSpec, Word
 from .field import binom_mod
 from .linalg import Mat
 from .outcome import DecodeOutcome, canonical_stack, conclude
-from .poly import locator_poly, poly_divrem
 from .virs import block_widths, feasible, module_kernel, virs_radius
 
 
@@ -55,8 +54,6 @@ class MgsSystem:
     """
 
     matrix: Mat
-    s: int
-    tau: int
     widths: tuple[int, ...]
 
 
@@ -81,28 +78,18 @@ def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
                 c = (binom_mod(t, b, q) * pow(ri, t - b, q)) % q
                 row.extend((c * xpow[j]) % q for j in range(width))
             rows.append(row)
-    return MgsSystem(Mat(spec.field, rows), s, tau, widths)
-
-
-def interpolation_kernel(spec: CodeSpec, r: Word, widths) -> list[list[int]]:
-    """A basis of the solutions of B-bar within the caps `widths`: the
-    module kernel under the scalars D(s), s = len(widths) - 1."""
-    return module_kernel(spec, r, scaling_scalars(len(widths) - 1, spec.field.q), widths)
-
-
-def mgs_interpolate(spec: CodeSpec, r: Word, s: int) -> BiPoly:
-    widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
-    return BiPoly(spec.field, canonical_stack(spec, interpolation_kernel(spec, r, widths), widths))
+    return MgsSystem(Mat(spec.field, rows), widths)
 
 
 def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths) -> DecodeOutcome:
     """Decode on the interpolation side: the span of the system with
     `widths`, `canonical_stack`, then the split Q = Lambda (y - f)^s with
     s = len(widths) - 1, accepted within radius tau."""
-    kernel = interpolation_kernel(spec, r, widths)
+    s = len(widths) - 1
+    kernel = module_kernel(spec, r, scaling_map(s, spec.field), widths)
     try:
         Q = BiPoly(spec.field, canonical_stack(spec, kernel, widths))
-        locator, f = extract_power_factor(Q, len(widths) - 1, spec.k, spec.vanishing)
+        locator, f = extract_power_factor(Q, s, spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))
@@ -113,21 +100,3 @@ def mgs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     if s % spec.field.q == 0:
         raise ValueError("field characteristic divides the interpolation order")
     return interpolation_decode(spec, r, tau, block_widths(spec.k, s, tau))
-
-
-def errorfree_divisibility_check(
-    Qbar: BiPoly, spec: CodeSpec, r: Word, error_positions, s: int
-) -> bool:
-    """True iff for each b < s the product of (x - locator_i) over the
-    error-free positions i, raised to the (s-b)-th power, divides
-    Q^[b](x, R(x)) exactly; R interpolates the received word."""
-    bad = set(error_positions)
-    clean = [a for i, a in enumerate(spec.locators) if i not in bad]
-    Gbar = locator_poly(spec.field, clean)
-    R = interpolate_word(spec, r)
-    for b in range(s):
-        composed = substitute_y(hasse_y(Qbar, b), R)
-        _, rem = poly_divrem(composed, Gbar ** (s - b))
-        if not rem.is_zero():
-            return False
-    return True

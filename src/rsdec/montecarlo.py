@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .code import CodeSpec, Word, corrupt, encode, random_error
 from .field import Field

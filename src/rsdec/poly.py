@@ -41,10 +41,6 @@ class UniPoly:
     def one(cls, field: Field) -> "UniPoly":
         return cls(field, (1,))
 
-    @classmethod
-    def x(cls, field: Field) -> "UniPoly":
-        return cls(field, (0, 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -174,17 +170,6 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         for i in range(len(bv)):
             rem[d + i] = (rem[d + i] - fac * bv[i]) % q
     return UniPoly(field, quot), UniPoly(field, rem)
-
-
-def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the points."""
-    if not points:
-        raise ValueError("need at least one point")
-    q = field.q
-    xs = [x % q for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x-coordinate")
-    return UniPoly(field, Interpolator(locator_poly(field, xs), xs)([[y for _, y in points]])[0])
 
 
 class Interpolator:

@@ -6,19 +6,21 @@ point (locator_i, r_i), with deg Q0 < n - tau0 and deg Q1 < n - tau0
 as Q1 * (y - f) when at most tau0 errors occurred, so f falls out of
 one exact polynomial division and Q1 is the error locator.
 
-These are the rows of B-bar at s = 1 on wb's caps, so wb is the
-list-size-1 case of the interpolation decoder: it runs
-`mgs.interpolation_decode` with s = 1 and radius tau0, which row-reduces
-the module of (G, 0) and (-R, 1), R interpolating r: virs's module
-scaled by D(1) = (-1, 1). `wb_build` stays as the tested dense oracle.
+Those caps are B-bar's at s = 1 and radius n - k - tau0, so wb is the
+list-size-1 case of the interpolation decoder, literally: `wb_build` is
+`build_Bbar` at s = 1, and `wb_decode` runs `mgs.interpolation_decode`
+on the same caps and accepts within tau0. That row-reduces the module
+of (G, 0) and (-R, 1), R interpolating r: virs's module scaled by
+D(1) = (-1, 1).
 """
 
 from __future__ import annotations
 
 from .code import CodeSpec, Word
 from .linalg import Mat
-from .mgs import interpolation_decode
+from .mgs import build_Bbar, interpolation_decode
 from .outcome import DecodeOutcome
+from .virs import block_widths
 
 
 def wb_radius(n: int, k: int) -> int:
@@ -27,25 +29,11 @@ def wb_radius(n: int, k: int) -> int:
     return (n - k) // 2
 
 
-def _widths(n: int, k: int) -> tuple[int, int]:
-    """Widths of the blocks of Q0 and Q1."""
-    tau0 = wb_radius(n, k)
-    return n - tau0, n - tau0 - k + 1
-
-
 def wb_build(spec: CodeSpec, r: Word) -> Mat:
     """Homogeneous system for (Q0, Q1), coefficients ascending per block."""
-    spec.check_word(r)
-    width0, width1 = _widths(spec.n, spec.k)
-    q = spec.field.q
-    rows = []
-    for av, rv in zip(spec.locators, r.symbols):
-        powers = [1] * width0
-        for j in range(1, width0):
-            powers[j] = (powers[j - 1] * av) % q
-        rows.append(powers + [(rv * p) % q for p in powers[:width1]])
-    return Mat(spec.field, rows)
+    return build_Bbar(spec, r, 1, spec.n - spec.k - wb_radius(spec.n, spec.k)).matrix
 
 
 def wb_decode(spec: CodeSpec, r: Word) -> DecodeOutcome:
-    return interpolation_decode(spec, r, wb_radius(spec.n, spec.k), _widths(spec.n, spec.k))
+    tau0 = wb_radius(spec.n, spec.k)
+    return interpolation_decode(spec, r, tau0, block_widths(spec.k, 1, spec.n - spec.k - tau0))

@@ -38,10 +38,10 @@ from rsdec.gs import (
     multiplicity_at,
 )
 from rsdec.linalg import Mat
-from rsdec.mgs import errorfree_divisibility_check, mgs_interpolate
 from rsdec.wb import wb_build
 from rsdec.montecarlo import ExperimentConfig, run_montecarlo
 from rsdec.rng import Stream, derive_seed
+from test_mgs import errorfree_divisibility_check, mgs_interpolate
 
 F17 = Field(17)
 

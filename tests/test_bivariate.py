@@ -11,7 +11,6 @@ from rsdec.bivariate import (
     hasse_y,
     shift,
     substitute_y,
-    weighted_degree,
 )
 from rsdec.field import binom_mod
 
@@ -127,22 +126,6 @@ def test_hasse_mixed_double_root():
     assert hasse_mixed(Q, 0, 2, x0, c) == 1
 
 
-def test_weighted_degree():
-    x3y2 = bipoly(F17, [[], [], [0, 0, 0, 1]])
-    assert weighted_degree(x3y2, 1, 3) == 9
-    assert weighted_degree(bipoly(F17, [[1]]), 5, 7) == 0
-    y3 = bipoly(F17, [[], [], [], [1]])
-    assert weighted_degree(y3, 0, 1) == 3
-    with pytest.raises(ValueError):
-        weighted_degree(BiPoly.zero(F17), 1, 1)
-
-
-def test_weighted_degree_picks_max_term():
-    Q = bipoly(F17, [[0, 0, 0, 0, 1], [0, 1]])  # x^4 + x y
-    assert weighted_degree(Q, 1, 3) == 4
-    assert weighted_degree(Q, 1, 4) == 5
-
-
 def test_substitute_y_root_curve():
     g = UniPoly.from_ints(F17, [2, 5, 1])
     Q = BiPoly(F17, [-g, UniPoly.one(F17)])  # y - g
@@ -205,7 +188,7 @@ def test_extract_power_factor_agrees_with_full_expansion(W_coeffs, f_coeffs, s, 
 
 
 def test_extract_power_factor_simple():
-    x = UniPoly.x(F17)
+    x = UniPoly.from_ints(F17, [0, 1])
     Q = power_factor_poly(UniPoly.one(F17), x, 2)  # (y - x)^2
     W, f = extract_power_factor(Q, 2, 2)
     assert W == UniPoly.one(F17)
@@ -229,7 +212,7 @@ def test_extract_power_factor_inexact_division():
 
 
 def test_extract_power_factor_degree_violation():
-    Q = power_factor_poly(UniPoly.one(F17), UniPoly.x(F17), 2)
+    Q = power_factor_poly(UniPoly.one(F17), UniPoly.from_ints(F17, [0, 1]), 2)
     with pytest.raises(FactorError) as err:
         extract_power_factor(Q, 2, 1)  # deg f = 1 but k = 1
     assert err.value.reason == "degree"
@@ -245,7 +228,7 @@ def test_extract_power_factor_wrong_ydeg():
 def test_extract_power_factor_characteristic_clash():
     F2 = Field(2)
     one = UniPoly.one(F2)
-    Q = power_factor_poly(one, UniPoly.x(F2), 2)
+    Q = power_factor_poly(one, UniPoly.from_ints(F2, [0, 1]), 2)
     with pytest.raises(ValueError):
         extract_power_factor(Q, 2, 4)
 
@@ -255,7 +238,7 @@ def test_bipoly_normalization_and_accessors():
     assert Q.ydeg == 0
     assert BiPoly.zero(F17).is_zero()
     assert Q.component(5).is_zero()
-    y = BiPoly.y(F17)
+    y = bipoly(F17, [[], [1]])
     assert y.ydeg == 1
     assert (y * y).component(2) == UniPoly.one(F17)
 

@@ -62,6 +62,17 @@ def test_corrupt_random_weight(tmp_path, capsys):
     assert sum(1 for a, b in zip(received, ex.CODEWORD) if a != b) == 5
 
 
+def test_corrupt_rejects_an_error_file_with_weight_or_seed(tmp_path, capsys):
+    cw = tmp_path / "c.word"
+    cw.write_text("17\n" + " ".join(map(str, ex.CODEWORD)) + "\n")
+    ew = tmp_path / "e.word"
+    ew.write_text("17\n" + " ".join(map(str, ex.ERROR)) + "\n")
+    for extra in (("--weight", "5", "--seed", "3"), ("--weight", "5"), ("--seed", "3")):
+        code, stdout, err = run(capsys, "corrupt", "--in", str(cw), "--e", str(ew), *extra)
+        assert (code, stdout) == (1, "")
+        assert "--e excludes --weight and --seed" in err
+
+
 @pytest.mark.parametrize("method,extra", [("wb", []), ("virs", ["--s", "2"]), ("mgs", ["--s", "2"])])
 def test_decode_methods_succeed(tmp_path, capsys, method, extra):
     # wb only reaches half distance, so feed it a weight-6 word
@@ -224,11 +235,23 @@ def test_bad_words_exit_1_and_name_the_problem(tmp_path, capsys):
 def test_dump_matrices(tmp_path, capsys):
     path = write_received(tmp_path)
     for name, rows in [("A", 32), ("Bbar", 32), ("B", 32), ("wb", 16)]:
-        code, stdout, _ = run(capsys, "dump", "--matrix", name, "--in", path, "--k", "4", "--alpha", "3", "--s", "2")
+        order = () if name == "wb" else ("--s", "2")
+        code, stdout, _ = run(capsys, "dump", "--matrix", name, "--in", path, "--k", "4", "--alpha", "3", *order)
         assert code == 0
         data = [ln for ln in stdout.splitlines() if ln and not ln.startswith("#")]
         assert len(data) == rows
         assert all(len(ln.split()) in (17, 33) for ln in data)
+
+
+def test_dump_order_defaults_to_two_and_is_refused_for_wb(tmp_path, capsys):
+    path = write_received(tmp_path)
+    for name in ("A", "Bbar", "B"):
+        code, stdout, _ = run(capsys, "dump", "--matrix", name, "--in", path, "--k", "4")
+        assert (code, stdout) == run(capsys, "dump", "--matrix", name, "--in", path, "--k", "4", "--s", "2")[:2]
+        assert code == 0
+    code, stdout, err = run(capsys, "dump", "--matrix", "wb", "--s", "3", "--in", path, "--k", "4")
+    assert (code, stdout) == (1, "")
+    assert "--s does not apply to --matrix wb" in err
 
 
 def test_equiv_command(tmp_path, capsys):

@@ -18,9 +18,14 @@ from rsdec import (
     virs_decode,
     wb_decode,
 )
-from rsdec.code import default_locators, interpolate_word, random_error, support, weight
+from rsdec.code import default_locators, interpolate_word, random_error, weight
 
 F7 = Field(7)
+
+
+def support(w):
+    """Positions of the nonzero symbols of w."""
+    return tuple(i for i, v in enumerate(w) if v)
 
 
 def test_default_locators_are_primitive_powers():

@@ -19,9 +19,10 @@ from rsdec import (
 from rsdec.bivariate import BiPoly
 from rsdec.code import random_error
 from rsdec.equiv import _scale, build_B, kernels_equivalent
-from rsdec.linalg import Mat, rank
+from rsdec.linalg import Mat
 from rsdec.poly import locator_poly
 from rsdec.wb import wb_build
+from test_linalg import rank
 
 F17 = Field(17)
 

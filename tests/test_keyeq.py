@@ -21,10 +21,11 @@ from rsdec import (
 )
 from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, split_progression
 from rsdec.code import random_error
-from rsdec.linalg import Mat, rank
+from rsdec.linalg import Mat
 from rsdec.outcome import DecodeOutcome, conclude, select_stack
 from rsdec.virs import block_widths, module_kernel, solution_module, weak_popov
 from rsdec.wb import wb_build
+from test_linalg import rank
 
 # (q, n, k, s): n - k odd and even, a block 0 wider than n (RS(15,4) s=3,
 # RS(16,4) s=5), degenerate widths (RS(7,3) s=3) and k = n

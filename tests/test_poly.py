@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rsdec import Field, UniPoly
-from rsdec.poly import lagrange_interpolate, locator_poly, NEG_INF, poly_divrem
+from rsdec.poly import Interpolator, locator_poly, NEG_INF, poly_divrem
 
 F17 = Field(17)
 F7 = Field(7)
@@ -11,6 +11,12 @@ F7 = Field(7)
 
 def mkpoly(field, ints):
     return UniPoly.from_ints(field, ints)
+
+
+def interpolate(field, points):
+    """The polynomial of degree < len(points) through the points, by `Interpolator`."""
+    xs = [x for x, _ in points]
+    return mkpoly(field, Interpolator(locator_poly(field, xs), xs)([[y for _, y in points]])[0])
 
 
 coeff_lists = st.lists(st.integers(0, 16), max_size=8)
@@ -35,7 +41,6 @@ def test_zero_polynomial_degree_sentinel():
 
 def test_constructors():
     assert UniPoly.one(F17).coeffs == (1,)
-    assert UniPoly.x(F17).coeffs == (0, 1)
     assert UniPoly(F17, (5,)).degree == 0
     assert mkpoly(F17, [0, 0]).is_zero()
 
@@ -85,7 +90,7 @@ def test_scalar_and_int_multiplication():
 
 
 def test_pow():
-    x = UniPoly.x(F17)
+    x = mkpoly(F17, [0, 1])
     assert (x + UniPoly.one(F17)) ** 2 == mkpoly(F17, [1, 2, 1])
     assert x**0 == UniPoly.one(F17)
 
@@ -112,7 +117,7 @@ def test_divrem_exact_case():
 
 def test_lagrange_interpolation_hits_points():
     pts = [(1, 3), (2, 0), (4, 5)]
-    p = lagrange_interpolate(F7, pts)
+    p = interpolate(F7, pts)
     assert p.degree < 3
     for x, y in pts:
         assert p.evaluate(x) == y
@@ -123,7 +128,7 @@ def test_lagrange_recovers_low_degree_poly(xs, data):
     coeffs = data.draw(st.lists(st.integers(0, 16), min_size=len(xs), max_size=len(xs)))
     p = mkpoly(F17, coeffs)
     pts = [(x, p.evaluate(x)) for x in xs]
-    assert lagrange_interpolate(F17, pts) == p
+    assert interpolate(F17, pts) == p
 
 
 def test_lagrange_recovers_a_poly_through_rs128_locators():
@@ -131,19 +136,10 @@ def test_lagrange_recovers_a_poly_through_rs128_locators():
     F = Field(257)
     p = mkpoly(F, [(7 * i + 3) % 257 for i in range(101)])
     pts = [(pow(3, i, 257), p.evaluate(pow(3, i, 257))) for i in range(128)]
-    assert lagrange_interpolate(F, pts) == p
+    assert interpolate(F, pts) == p
     # y is reduced mod q
     shifted = [(x, y + 257 * (x % 5 - 2)) for x, y in pts]
-    assert lagrange_interpolate(F, shifted) == p
-
-
-def test_lagrange_rejects_duplicate_points():
-    with pytest.raises(ValueError):
-        lagrange_interpolate(F7, [(1, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        lagrange_interpolate(F7, [(1, 1), (8, 2)])  # 8 = 1 mod 7
-    with pytest.raises(ValueError):
-        lagrange_interpolate(F7, [])
+    assert interpolate(F, shifted) == p
 
 
 def test_locator_poly_roots():

@@ -13,12 +13,13 @@ from rsdec import (
     encode,
     feasible,
     mgs_decode,
+    scaling_map,
     virs_decode,
     virs_radius,
     wb_decode,
     wb_radius,
 )
-from rsdec.bivariate import FactorError, scaling_scalars, split_progression
+from rsdec.bivariate import FactorError, split_progression
 from rsdec.code import random_error
 from rsdec.poly import locator_poly, split_blocks
 from rsdec.virs import block_widths
@@ -266,7 +267,7 @@ def test_wide_block_words_decode():
             assert a.success and a.f == f
 
 
-@pytest.mark.parametrize("scalars", [(1, 1, 1), scaling_scalars(2, 17)])
+@pytest.mark.parametrize("scalars", [(1, 1, 1), scaling_map(2, F17)])
 def test_split_rejects_a_stack_that_is_not_a_power_progression(scalars):
     # scalars of virs, then of mgs; the division alone passes on both stacks
     f = UniPoly.from_ints(F17, [1, 2, 3])
