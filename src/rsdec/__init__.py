@@ -1,14 +1,15 @@
 """Reed-Solomon decoding beyond half the minimum distance.
 
-Three decoders, one row-reduction kernel (`virs.module_kernel`):
+Three decoders, one decode function (`mgs.interpolation_decode`) that
+row-reduces a solution module and differs only in the block scalars of
+its last generator and in the caps:
 
 - wb: classical decoding up to floor((n-k)/2) errors, the list-size-1
-  case of interpolation;
+  case of interpolation, scalars D(1);
 - virs: virtual interleaving of symbol powers, one shared error
-  locator, radius floor((sn - C(s+1,2)(k-1) - s) / (s+1)), decoded by
-  row-reducing its solution module;
-- mgs: bivariate interpolation with an s-fold y-root, same radius,
-  decoded by row-reducing virs's module scaled by D(s), like wb at s = 1.
+  locator, radius floor((sn - C(s+1,2)(k-1) - s) / (s+1)), scalars 1;
+- mgs: bivariate interpolation with an s-fold y-root, same radius and
+  caps, scalars D(s).
 
 The equiv module certifies that the systems of virs and mgs have the
 same solution space up to an explicit diagonal change of coordinates.

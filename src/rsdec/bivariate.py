@@ -1,9 +1,12 @@
-"""Bivariate polynomials Q(x, y) over a prime field.
+"""Bivariate polynomials Q(x, y) over a prime field, and the decoders' split.
 
 A BiPoly is stored as a list of univariate components indexed by
 y-degree: Q(x, y) = sum_t Q_t(x) * y^t. Every formula this package
 needs (Hasse derivatives, substitution, power-factor extraction) is
 organized around those components, so no flat coefficient grid is kept.
+The decoders split a stack of components, not a BiPoly:
+`extract_power_factor` reads Lambda and f off Q^(t) = c_t Lambda f^(s-t)
+for the block scalars c of the decoder (`scaling_map` for mgs and wb).
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def scaling_map(s: int, field: Field) -> tuple[int, ...]:
     return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
 
 
-def split_progression(stack, scalars, k: int, modulus=None) -> tuple[UniPoly, UniPoly]:
+def extract_power_factor(stack, scalars, k: int, modulus=None) -> tuple[UniPoly, UniPoly]:
     """(Lambda, f) with stack[t] = scalars[t] Lambda f^(s-t) for every t
     and deg f < k, Lambda being the top block; or raise FactorError.
 
@@ -212,21 +215,3 @@ def split_progression(stack, scalars, k: int, modulus=None) -> tuple[UniPoly, Un
         if stack[t] != expect:
             raise FactorError("expansion", "solution stack is not a power progression")
     return locator, f
-
-
-def extract_power_factor(Q: BiPoly, s: int, k: int, modulus=None) -> tuple[UniPoly, UniPoly]:
-    """Split Q as W(x) * (y - f(x))^s with deg f < k, or raise FactorError.
-
-    The y-components of W (y - f)^s are D_t W f^(s-t) with D = D(s), so
-    the factorization is checked component by component, without
-    expanding the product; `modulus` as in `split_progression`.
-    """
-    if s < 1:
-        raise ValueError("power must be positive")
-    if k < 1:
-        raise ValueError("degree bound must be positive")
-    if s % Q.field.q == 0:
-        raise ValueError("field characteristic divides the power")
-    if Q.ydeg != s:
-        raise FactorError("shape", f"y-degree {Q.ydeg} does not match power {s}")
-    return split_progression(Q.components, scaling_map(s, Q.field), k, modulus)

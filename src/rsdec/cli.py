@@ -144,6 +144,16 @@ def _cmd_decode(args) -> int:
     return _report(outcome)
 
 
+def _radius(args, spec: CodeSpec, s: int) -> int:
+    """`--tau`, or virs's radius at order s. A dense system has
+    tau + s(k - 1) + 1 columns per block, so tau is capped at n."""
+    if args.tau is None:
+        return virs_radius(spec.n, spec.k, s)
+    if args.tau > spec.n:
+        raise ValueError(f"--tau {args.tau} exceeds the code length n = {spec.n}")
+    return args.tau
+
+
 def _cmd_dump(args) -> int:
     q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
@@ -155,7 +165,7 @@ def _cmd_dump(args) -> int:
         matrix = wb_build(spec, word)
     else:
         s = 2 if args.s is None else args.s
-        tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, s)
+        tau = _radius(args, spec, s)
         if args.matrix == "A":
             matrix = build_A(spec, word, s, tau)
         elif args.matrix == "Bbar":
@@ -184,7 +194,7 @@ def _cmd_mc(args) -> int:
 def _cmd_equiv(args) -> int:
     q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
-    tau = args.tau if args.tau is not None else virs_radius(spec.n, spec.k, args.s)
+    tau = _radius(args, spec, args.s)
     A = build_A(spec, word, args.s, tau)
     system = build_Bbar(spec, word, args.s, tau)
     D = scaling_map(args.s, spec.field)

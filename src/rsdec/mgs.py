@@ -1,28 +1,30 @@
-"""Interpolation decoding with one y-root of multiplicity s.
+"""The one decoder: interpolation with one y-root of multiplicity s.
 
-A single received word is interpolated by a bivariate Q(x, y) of
-y-degree s whose Hasse y-derivatives of orders 0..s-1 all vanish at
-every point (locator_i, r_i), with component degree caps
+A received word is interpolated by a bivariate Q(x, y) of y-degree s
+whose Hasse y-derivatives of orders 0..s-1 all vanish at every point
+(locator_i, r_i), with component degree caps
 
     deg Q^(t) <= tau + (s - t)(k - 1).
 
 Whenever at most tau errors occurred and a nonzero solution exists, Q
-factors as Q^(s)(x) (y - f(x))^s: the error locator times an s-fold
-root at the message polynomial. Decoding is therefore interpolation
-followed by power-factor extraction, no root finding over y needed.
+factors as Lambda(x) (y - f(x))^s: the error locator times an s-fold
+root at the message. Its y^t coefficient is D_t Lambda f^(s-t), with
+D = D(s) (`bivariate.scaling_map`), so no root finding over y is needed.
 
-The decoder never eliminates the constraint matrix B-bar. Q meets its
-conditions at (alpha_j, r_j) exactly when (y - r_j)^s divides
-Q(alpha_j, y), so the solutions form the F[x]-module spanned by the
-G y^t (t < s) and (y - R)^s, with R interpolating r and
-G = prod (x - alpha_j). Reduced mod G the last generator is
-y^s + sum_t D_t R_t y^t, virs's last generator scaled by D(s):
-`interpolation_decode` runs `virs.module_kernel` with the scalars D(s),
-and `outcome.canonical_stack` picks the canonical kernel vector from the
-span, so every outcome and reason is the dense pipeline's. wb is this
-route at s = 1 on its own caps, and its system `wb.wb_build` is
-`build_Bbar` at s = 1. The dense B-bar serves `rsdec equiv`,
-`rsdec dump` and `mc`, and is the oracle the tests hold the span to.
+No matrix is eliminated. Q meets its conditions at (alpha_j, r_j)
+exactly when (y - r_j)^s divides Q(alpha_j, y), so the solutions form
+the F[x]-module spanned by the G y^t (t < s) and (y - R)^s, with R
+interpolating r and G = prod (x - alpha_j); reduced mod G the last
+generator is y^s + sum_t D_t R_t y^t. `solution_module` builds these
+rows for any block scalars c in place of D, `weak_popov` reduces them
+(Mulders and Storjohann) under the shifts t(k-1) that turn the caps
+into one degree bound, and `capped_span` reads the kernel off the
+reduced rows: `module_kernel`. `interpolation_decode` then takes
+`outcome.canonical_stack`, splits Q^(t) = c_t Lambda f^(s-t) with
+`bivariate.extract_power_factor` and accepts through `outcome.conclude`.
+It is the package's only decode: mgs passes c = D(s), virs all ones
+(A's stacks) and wb D(1) on its own caps. The dense B-bar serves
+`rsdec equiv`, `rsdec dump` and `mc`, and is the tests' oracle.
 
 The module holds in every characteristic. Where D(s) is singular mod q
 (some C(s, t) = 0, possible once s >= q), the conditions on B-bar drop
@@ -35,12 +37,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivariate import BiPoly, FactorError, extract_power_factor, scaling_map
+from .bivariate import FactorError, extract_power_factor, scaling_map
 from .code import CodeSpec, Word
 from .field import binom_mod
 from .linalg import Mat
-from .outcome import DecodeOutcome, canonical_stack, conclude
-from .virs import block_widths, feasible, module_kernel, virs_radius
+from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
+
+
+def feasible(n: int, k: int, s: int) -> bool:
+    """The s-th power word must still sit in a code shorter than n."""
+    return s >= 1 and s * (k - 1) + 1 <= n
+
+
+def virs_radius(n: int, k: int, s: int) -> int:
+    if not (1 <= k <= n):
+        raise ValueError("need 1 <= k <= n")
+    if not feasible(n, k, s):
+        raise ValueError(f"order {s} infeasible for (n, k) = ({n}, {k})")
+    return (s * n - (s * (s + 1) // 2) * (k - 1) - s) // (s + 1)
+
+
+def block_widths(k: int, s: int, tau: int) -> tuple[int, ...]:
+    """Width of column block t = 0..s: component t holds Lambda f^(s-t),
+    so its degree cap is tau + (s-t)(k-1)."""
+    if tau < 0:
+        raise ValueError(f"radius must be nonnegative, got {tau}")
+    return tuple(tau + (s - t) * (k - 1) + 1 for t in range(s + 1))
 
 
 @dataclass(frozen=True)
@@ -81,15 +103,75 @@ def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
     return MgsSystem(Mat(spec.field, rows), widths)
 
 
-def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths) -> DecodeOutcome:
-    """Decode on the interpolation side: the span of the system with
-    `widths`, `canonical_stack`, then the split Q = Lambda (y - f)^s with
-    s = len(widths) - 1, accepted within radius tau."""
-    s = len(widths) - 1
-    kernel = module_kernel(spec, r, scaling_map(s, spec.field), widths)
+def solution_module(spec: CodeSpec, r: Word, scalars) -> list[list[list[int]]]:
+    """Generators of the module of stacks Q with Q^(t) = c_t R_t Q^(s)
+    mod G, c = `scalars` (s + 1 of them, c_s = 1): the rows G e_t (t < s)
+    and (c_0 R_0, ..., c_(s-1) R_(s-1), c_s), each s + 1 int coefficient
+    lists, ascending; R_t interpolates r^(s-t), all s on the code's
+    `interpolator`."""
+    spec.check_word(r)
+    q = spec.field.q
+    s = len(scalars) - 1
+    rpow = [list(r.symbols)]  # rpow[i] = r^(i+1)
+    for _ in range(s - 1):
+        rpow.append([v * x % q for v, x in zip(rpow[-1], r.symbols)])
+    polys = spec.interpolator(rpow[::-1]) + [[1]]
+    last = [[c * v % q for v in p] if c else [] for c, p in zip(scalars, polys)]
+    G = spec.vanishing.coeffs
+    return [[list(G) if t == i else [] for t in range(s + 1)] for i in range(s)] + [last]
+
+def weak_popov(rows, shifts, field) -> list[int]:
+    """Mulders-Storjohann, in place, column t shifted by shifts[t]: while
+    two rows share a leading position (rightmost column of top shifted
+    degree), the higher loses its leading term to c x^d times the other.
+    Returns the shifted degrees of the rows, now in weak Popov form."""
+    q = field.q
+
+    def lead(row):
+        return max((len(p) - 1 + sh, t) for t, (p, sh) in enumerate(zip(row, shifts)) if p)
+
+    leads = [lead(row) for row in rows]
+    owner = {}
+    todo = list(range(len(rows)))
+    while todo:
+        i = todo.pop()
+        pos = leads[i][1]
+        j = owner.setdefault(pos, i)
+        if j == i:
+            continue
+        if leads[j][0] > leads[i][0]:
+            owner[pos] = i
+            i, j = j, i
+        d = leads[i][0] - leads[j][0]
+        c = rows[i][pos][-1] * field.inv(rows[j][pos][-1]) % q
+        for a, b in zip(rows[i], rows[j]):
+            a.extend([0] * (d + len(b) - len(a)))
+            a[d : d + len(b)] = [(x - c * y) % q for x, y in zip(a[d:], b)]
+            while a and not a[-1]:
+                a.pop()
+        leads[i] = lead(rows[i])
+        todo.append(i)
+    return [deg for deg, _ in leads]
+
+def module_kernel(spec: CodeSpec, r: Word, scalars, widths) -> list[list[int]]:
+    """The kernel every decoder reads: the elements within the caps
+    `widths` of the module `solution_module(spec, r, scalars)` generates,
+    as flat vectors. `weak_popov` reduces the generators under the shifts
+    t(k-1) that turn the caps into one degree bound, and `capped_span`
+    spans the reduced rows within it."""
+    rows = solution_module(spec, r, scalars)
+    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(len(rows))], spec.field)
+    return capped_span(rows, degrees, widths)
+
+
+def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths, scalars) -> DecodeOutcome:
+    """Decode on the module with block scalars `scalars`: its span within
+    `widths`, `canonical_stack`, then the split Q^(t) = scalars[t] Lambda
+    f^(s-t), accepted within radius tau."""
+    kernel = module_kernel(spec, r, scalars, widths)
     try:
-        Q = BiPoly(spec.field, canonical_stack(spec, kernel, widths))
-        locator, f = extract_power_factor(Q, s, spec.k, spec.vanishing)
+        stack = canonical_stack(spec, kernel, widths)
+        locator, f = extract_power_factor(stack, scalars, spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))
@@ -99,4 +181,4 @@ def mgs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:
     tau = virs_radius(spec.n, spec.k, s)
     if s % spec.field.q == 0:
         raise ValueError("field characteristic divides the interpolation order")
-    return interpolation_decode(spec, r, tau, block_widths(spec.k, s, tau))
+    return interpolation_decode(spec, r, tau, block_widths(spec.k, s, tau), scaling_map(s, spec.field))

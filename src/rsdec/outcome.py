@@ -1,16 +1,15 @@
 """Decoder result type and the stages shared by every decoder.
 
-Every decoder runs the same pipeline: reduce a basis of its solution
-module, span it within the caps (`capped_span`), pick the canonical
-vector (`canonical_stack`), split it into (Lambda, f) with
-`bivariate.split_progression`, and accept through `conclude`. The first
-two are `virs.module_kernel`, Mulders-Storjohann reduction for all
-three. The decoders differ only in their caps and in the block scalars
-c of the module's last generator and of a decodable stack
-Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs and D(1) for
-wb (the last two split through `extract_power_factor`). `select_stack`
-depends on the space only, not on the basis it is given: the locator is
-the unique monic top block of lowest degree.
+Every decoder is `mgs.interpolation_decode`: reduce a basis of its
+solution module and span it within the caps (`capped_span`; together
+`mgs.module_kernel`), pick the canonical vector (`canonical_stack`),
+split it into (Lambda, f) with `bivariate.extract_power_factor`, and
+accept through `conclude`. The decoders differ only in their caps and
+in the block scalars c of the module's last generator and of a
+decodable stack Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs
+and D(1) for wb. `select_stack` depends on the space only, not on the
+basis it is given: the locator is the unique monic top block of lowest
+degree.
 """
 
 from __future__ import annotations

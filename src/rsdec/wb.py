@@ -8,19 +8,19 @@ one exact polynomial division and Q1 is the error locator.
 
 Those caps are B-bar's at s = 1 and radius n - k - tau0, so wb is the
 list-size-1 case of the interpolation decoder, literally: `wb_build` is
-`build_Bbar` at s = 1, and `wb_decode` runs `mgs.interpolation_decode`
-on the same caps and accepts within tau0. That row-reduces the module
-of (G, 0) and (-R, 1), R interpolating r: virs's module scaled by
-D(1) = (-1, 1).
+`build_Bbar` at s = 1, and `wb_decode` is `mgs.interpolation_decode`
+with the scalars D(1) = (-1, 1) on the same caps, accepting within
+tau0. That row-reduces the module of (G, 0) and (-R, 1), R
+interpolating r.
 """
 
 from __future__ import annotations
 
+from .bivariate import scaling_map
 from .code import CodeSpec, Word
 from .linalg import Mat
-from .mgs import build_Bbar, interpolation_decode
+from .mgs import block_widths, build_Bbar, interpolation_decode
 from .outcome import DecodeOutcome
-from .virs import block_widths
 
 
 def wb_radius(n: int, k: int) -> int:
@@ -36,4 +36,5 @@ def wb_build(spec: CodeSpec, r: Word) -> Mat:
 
 def wb_decode(spec: CodeSpec, r: Word) -> DecodeOutcome:
     tau0 = wb_radius(spec.n, spec.k)
-    return interpolation_decode(spec, r, tau0, block_widths(spec.k, 1, spec.n - spec.k - tau0))
+    widths = block_widths(spec.k, 1, spec.n - spec.k - tau0)
+    return interpolation_decode(spec, r, tau0, widths, scaling_map(1, spec.field))

@@ -73,7 +73,7 @@ def test_criterion_1_worked_example_reproduction():
     assert len(ratios) == 1
     assert all(a == 0 for a, b in zip(flat, image) if b == 0)
 
-    lam, g = extract_power_factor(Q, 2, spec.k)
+    lam, g = extract_power_factor(Q.components, D, spec.k)
     assert g == f
     assert {a for a in spec.locators if lam.evaluate(a) == 0} == {
         spec.locators[i] for i in range(7)
@@ -232,7 +232,7 @@ def test_criterion_6_power_factor_structure():
         if not out.success:
             continue
         Q = mgs_interpolate(spec, r, s)
-        lam, g = extract_power_factor(Q, s, spec.k)
+        lam, g = extract_power_factor(Q.components, scaling_map(s, spec.field), spec.k)
         F = spec.field
         assert Q == BiPoly.from_uni(Q.component(s)) * BiPoly(F, (-g, UniPoly.one(F))) ** s
         errset = set(out.error_positions)

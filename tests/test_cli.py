@@ -132,15 +132,19 @@ def test_bad_invocations(tmp_path, capsys):
         assert (code, stdout) == (1, "")
         assert f"rsdec: error: {message}" in err
     path = write_received(tmp_path)
-    for argv in (
-        ("dump", "--matrix", "A", "--tau", "-3"),
-        ("dump", "--matrix", "Bbar", "--tau", "-1"),
-        ("dump", "--matrix", "B", "--tau", "-1"),
-        ("equiv", "--tau", "-1"),
+    for argv, message in (
+        (("dump", "--matrix", "A", "--tau", "-3"), "radius must be nonnegative"),
+        (("dump", "--matrix", "Bbar", "--tau", "-1"), "radius must be nonnegative"),
+        (("dump", "--matrix", "B", "--tau", "-1"), "radius must be nonnegative"),
+        (("equiv", "--tau", "-1"), "radius must be nonnegative"),
+        # a dense system has tau + s(k - 1) + 1 columns per block
+        (("dump", "--matrix", "A", "--tau", "17"), "--tau 17 exceeds the code length n = 16"),
+        (("dump", "--matrix", "B", "--tau", "1000000000"), "--tau 1000000000 exceeds the code length n = 16"),
+        (("equiv", "--tau", "17"), "--tau 17 exceeds the code length n = 16"),
     ):
         code, stdout, err = run(capsys, *argv, "--in", path, "--k", "4")
         assert (code, stdout) == (1, "")
-        assert "radius must be nonnegative" in err
+        assert message in err
     code, stdout, err = run(capsys, "dump", "--matrix", "wb", "--tau", "5", "--in", path, "--k", "4")
     assert (code, stdout) == (1, "")
     assert "--tau does not apply to --matrix wb" in err

@@ -14,16 +14,17 @@ from rsdec import (
     corrupt,
     encode,
     nullspace,
+    scaling_map,
     virs_decode,
     virs_radius,
     wb_decode,
     wb_radius,
 )
-from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, split_progression
+from rsdec.bivariate import FactorError, extract_power_factor
 from rsdec.code import random_error
 from rsdec.linalg import Mat
+from rsdec.mgs import block_widths, module_kernel, solution_module, weak_popov
 from rsdec.outcome import DecodeOutcome, conclude, select_stack
-from rsdec.virs import block_widths, module_kernel, solution_module, weak_popov
 from rsdec.wb import wb_build
 from test_linalg import rank
 
@@ -54,7 +55,7 @@ def dense_virs(spec, r, s):
     kernel = nullspace(build_A(spec, r, s, tau))
     try:
         stack = select_stack(spec.field, kernel, block_widths(spec.k, s, tau))
-        locator, f = split_progression(stack, (1,) * (s + 1), spec.k, spec.vanishing)
+        locator, f = extract_power_factor(stack, (1,) * (s + 1), spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))
@@ -65,7 +66,7 @@ def dense_wb(spec, r):
     kernel = nullspace(wb_build(spec, r))
     try:
         stack = select_stack(spec.field, kernel, (spec.n - tau0, spec.n - tau0 - spec.k + 1))
-        locator, f = extract_power_factor(BiPoly(spec.field, stack), 1, spec.k, spec.vanishing)
+        locator, f = extract_power_factor(stack, scaling_map(1, spec.field), spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau0, locator, f, len(kernel))

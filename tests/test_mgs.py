@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gf17_example as ex
 import rsdec.linalg
+import rsdec.mgs
 from rsdec import (
     CodeSpec,
     DecodeOutcome,
@@ -28,9 +29,9 @@ from rsdec import (
 from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, hasse_mixed, hasse_y, substitute_y
 from rsdec.code import interpolate_word, random_error
 from rsdec.gs import multiplicity_at
+from rsdec.mgs import block_widths, module_kernel
 from rsdec.outcome import canonical_stack, conclude, select_stack
 from rsdec.poly import locator_poly, poly_divrem
-from rsdec.virs import block_widths, module_kernel
 from rsdec.wb import wb_build
 from test_keyeq import dense_virs, dense_wb
 
@@ -121,7 +122,7 @@ def test_interpolation_conditions_via_derivatives():
 def test_interpolate_no_errors_gives_pure_power():
     spec, f, c, _ = ex.instance()
     Q = mgs_interpolate(spec, c, 2)
-    lam, g = extract_power_factor(Q, 2, spec.k)
+    lam, g = extract_power_factor(Q.components, scaling_map(2, F17), spec.k)
     assert g == f
     assert lam == UniPoly.one(spec.field)
 
@@ -335,7 +336,7 @@ def dense_mgs(spec, r, s):
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), None
     try:
-        locator, f = extract_power_factor(Q, s, spec.k, spec.vanishing)
+        locator, f = extract_power_factor(Q.components, scaling_map(s, spec.field), spec.k, spec.vanishing)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), Q
     return conclude(spec, r, tau, locator, f, len(kernel)), Q
@@ -441,10 +442,32 @@ def test_decode_eliminates_nothing(monkeypatch):
     f = UniPoly.from_ints(F, range(1, 9))
     r = corrupt(encode(spec, f), random_error(spec, 20, 3))
     assert mgs_decode(spec, r, 2).f == f
-    assert extract_power_factor(mgs_interpolate(spec, r, 2), 2, 8)[1] == f
+    assert extract_power_factor(mgs_interpolate(spec, r, 2).components, scaling_map(2, F), 8)[1] == f
     assert wb_decode(spec, r).f == f
     assert virs_decode(spec, r, 2).f == f
     assert calls == []
+
+
+def test_every_decoder_is_the_one_interpolation_decode(monkeypatch):
+    # wb, virs and mgs differ only in their scalars and caps: each splits
+    # its word once through extract_power_factor and accepts it once
+    # through conclude, both as bound in rsdec.mgs
+    counts = {}
+    for name in ("extract_power_factor", "conclude"):
+        original = getattr(rsdec.mgs, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rsdec.mgs, name, counting)
+    spec = ex.code()
+    f = UniPoly.from_ints(F17, [1, 2, 3, 4])
+    r = corrupt(encode(spec, f), random_error(spec, 5, 1))
+    for decode, order in ((wb_decode, ()), (virs_decode, (2,)), (mgs_decode, (2,))):
+        counts.update(extract_power_factor=0, conclude=0)
+        assert decode(spec, r, *order).f == f
+        assert counts == {"extract_power_factor": 1, "conclude": 1}
 
 
 def test_codes_on_other_locators_keep_their_own_tables():

@@ -49,6 +49,16 @@ def test_worked_example_output_is_frozen():
     assert done.stdout == WORKED_EXAMPLE
 
 
+def test_outcome_digest_is_pinned():
+    # every field of every wb, virs and mgs outcome on the script's fixed
+    # words; a change that moves any of them moves this hash
+    done = run_script("outcome_digest.py")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "ae7574c7571e333c5ca728a22c814cddca2b8da8f31cfdcef3b909f64b753359  624 words, 11 codes\n"
+    )
+
+
 def test_readme_library_example_runs():
     # every bare expression of the block is a claim: true, unless its
     # comment says False

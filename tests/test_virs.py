@@ -19,7 +19,7 @@ from rsdec import (
     wb_decode,
     wb_radius,
 )
-from rsdec.bivariate import FactorError, split_progression
+from rsdec.bivariate import FactorError, extract_power_factor
 from rsdec.code import random_error
 from rsdec.poly import locator_poly, split_blocks
 from rsdec.virs import block_widths
@@ -273,10 +273,10 @@ def test_split_rejects_a_stack_that_is_not_a_power_progression(scalars):
     f = UniPoly.from_ints(F17, [1, 2, 3])
     lam = locator_poly(F17, [3, 9])
     stack = [lam * f**2 * scalars[0], lam * f * scalars[1], lam]
-    assert split_progression(stack, scalars, 4) == (lam, f)
+    assert extract_power_factor(stack, scalars, 4) == (lam, f)
     stack[0] = stack[0] + UniPoly.one(F17)
     with pytest.raises(FactorError) as err:
-        split_progression(stack, scalars, 4)
+        extract_power_factor(stack, scalars, 4)
     assert str(err.value) == "solution stack is not a power progression"
 
 
