@@ -2,12 +2,14 @@
 """Print one sha256 over the full outcomes of wb, virs and mgs on fixed words.
 
 Each word is a random codeword plus a seeded error of a given weight, on a
-fixed list of codes that covers s >= q, wide blocks (s(k-1) + 1 = n), k = n
-and RS(64,8) over GF(257). For every word and decoder the tuple
+fixed list of codes that covers s >= q, wide blocks (s(k-1) + 1 = n), k = n,
+RS(64,8) and RS(128,8) over GF(257) and a code over GF(65521), the largest
+field, where the packed slots of the decode kernel are widest. For every
+word and decoder the tuple
 (success, f, locator, corrected, error_positions, reason, kernel_dim) is
 hashed, so a refactor that claims to keep behaviour can be checked by
-running this before and after it: the digest must not move. Runs in about
-a second; uses only the standard library and rsdec.
+running this before and after it: the digest must not move. Runs in one
+to two seconds; uses only the standard library and rsdec.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ CODES = (
     (11, 8, 2, 4, range(6), 10),
     (13, 12, 3, 3, range(8), 6),
     (257, 64, 8, 2, (0, 20, 28, 35, 37), 2),
+    (257, 128, 8, 3, (60, 84), 2),
+    (65521, 40, 4, 2, (0, 18, 23), 2),
 )
 
 

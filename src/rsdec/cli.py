@@ -129,13 +129,20 @@ def _cmd_corrupt(args) -> int:
     return 0
 
 
+def _check_order(n: int, k: int, s: int):
+    """At k = 1 the radius floor(s(n-1)/(s+1)) stops growing at s = n - 2; the systems do not."""
+    if k == 1 and s > max(1, n - 2):
+        raise ValueError(f"order {s} exceeds {max(1, n - 2)}, the largest that widens the radius at k = 1")
+
+
 def _cmd_decode(args) -> int:
     q, residues = read_word_file(args.infile, args.k)
     spec, word = _spec_from_word(q, residues, args.k, args.alpha)
+    if args.method == "wb" and args.s is not None:
+        raise ValueError("--s does not apply to --method wb")
     s = 1 if args.s is None else args.s
+    _check_order(spec.n, spec.k, s)
     if args.method == "wb":
-        if args.s is not None:
-            raise ValueError("--s does not apply to --method wb")
         outcome = wb_decode(spec, word)
     elif args.method == "virs":
         outcome = virs_decode(spec, word, s)
@@ -145,8 +152,9 @@ def _cmd_decode(args) -> int:
 
 
 def _radius(args, spec: CodeSpec, s: int) -> int:
-    """`--tau`, or virs's radius at order s. A dense system has
-    tau + s(k - 1) + 1 columns per block, so tau is capped at n."""
+    """`--tau`, or virs's radius at order s (`_check_order`). A dense system
+    has tau + s(k - 1) + 1 columns per block, so tau is capped at n."""
+    _check_order(spec.n, spec.k, s)
     if args.tau is None:
         return virs_radius(spec.n, spec.k, s)
     if args.tau > spec.n:
@@ -182,6 +190,7 @@ def _cmd_mc(args) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = ExperimentConfig.from_json(fh.read())
+    _check_order(cfg.n, cfg.k, cfg.s)
     csv = run_montecarlo(cfg, threads=args.threads)
     if args.out is None:
         sys.stdout.write(csv)

@@ -17,9 +17,9 @@ the F[x]-module spanned by the G y^t (t < s) and (y - R)^s, with R
 interpolating r and G = prod (x - alpha_j); reduced mod G the last
 generator is y^s + sum_t D_t R_t y^t. `solution_module` builds these
 rows for any block scalars c in place of D, `weak_popov` reduces them
-(Mulders and Storjohann) under the shifts t(k-1) that turn the caps
-into one degree bound, and `capped_span` reads the kernel off the
-reduced rows: `module_kernel`. `interpolation_decode` then takes
+(Mulders and Storjohann, on packed ints) under the shifts t(k-1) that
+turn the caps into one degree bound, and `capped_span` reads the kernel
+off the reduced rows: `module_kernel`. `interpolation_decode` then takes
 `outcome.canonical_stack`, splits Q^(t) = c_t Lambda f^(s-t) with
 `bivariate.extract_power_factor` and accepts through `outcome.conclude`.
 It is the package's only decode: mgs passes c = D(s), virs all ones
@@ -36,12 +36,14 @@ fail for different reasons, as on RS(4,1) over GF(5) with s = 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bivariate import FactorError, extract_power_factor, scaling_map
 from .code import CodeSpec, Word
 from .field import binom_mod
 from .linalg import Mat
 from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
+from .poly import pack, unpack
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -120,17 +122,33 @@ def solution_module(spec: CodeSpec, r: Word, scalars) -> list[list[list[int]]]:
     G = spec.vanishing.coeffs
     return [[list(G) if t == i else [] for t in range(s + 1)] for i in range(s)] + [last]
 
+@lru_cache(maxsize=None)
+def slot_reduction(q: int):
+    """(W, kappa, reduce): reduce(v, high) takes every W-bit slot of v mod q,
+    `high` selecting bits kappa..W-1 of each. A slot v < 2^N, N =
+    bitlen((q-1)^2 + q), has v // q = (v m) >> kappa, m = ceil(2^kappa / q)
+    (Granlund and Montgomery), and v m < 2^W spills into no other slot."""
+    top = ((q - 1) ** 2 + q).bit_length()
+    kappa = top + (q - 1).bit_length()
+    m = -(-(1 << kappa) // q)
+    return (((1 << top) - 1) * m).bit_length(), kappa, lambda v, high: v - q * ((v * m & high) >> kappa)
+
+
 def weak_popov(rows, shifts, field) -> list[int]:
     """Mulders-Storjohann, in place, column t shifted by shifts[t]: while
     two rows share a leading position (rightmost column of top shifted
     degree), the higher loses its leading term to c x^d times the other.
-    Returns the shifted degrees of the rows, now in weak Popov form."""
-    q = field.q
+    Returns the shifted degrees of the rows, now in weak Popov form. A
+    step is a + (q - c) x^d b on `pack`ed components, then `slot_reduction`."""
+    width, kappa, reduce = slot_reduction(field.q)
+    packed = [[pack(p, width) for p in row] for row in rows]
 
     def lead(row):
-        return max((len(p) - 1 + sh, t) for t, (p, sh) in enumerate(zip(row, shifts)) if p)
+        return max(((v.bit_length() - 1) // width + sh, t) for t, (v, sh) in enumerate(zip(row, shifts)) if v)
 
-    leads = [lead(row) for row in rows]
+    leads = [lead(row) for row in packed]
+    # no component outgrows the top shifted degree its row starts with
+    high = pack([(1 << width) - (1 << kappa)] * (max(leads)[0] - min(shifts) + 1), width)
     owner = {}
     todo = list(range(len(rows)))
     while todo:
@@ -142,15 +160,13 @@ def weak_popov(rows, shifts, field) -> list[int]:
         if leads[j][0] > leads[i][0]:
             owner[pos] = i
             i, j = j, i
-        d = leads[i][0] - leads[j][0]
-        c = rows[i][pos][-1] * field.inv(rows[j][pos][-1]) % q
-        for a, b in zip(rows[i], rows[j]):
-            a.extend([0] * (d + len(b) - len(a)))
-            a[d : d + len(b)] = [(x - c * y) % q for x, y in zip(a[d:], b)]
-            while a and not a[-1]:
-                a.pop()
-        leads[i] = lead(rows[i])
+        d, top = (leads[i][0] - leads[j][0]) * width, (leads[j][0] - shifts[pos]) * width
+        c = -(packed[i][pos] >> d + top) * field.inv(packed[j][pos] >> top) % field.q
+        packed[i] = [reduce(a + c * (b << d), high) if b else a for a, b in zip(packed[i], packed[j])]
+        leads[i] = lead(packed[i])
         todo.append(i)
+    for row, prow in zip(rows, packed):
+        row[:] = [unpack(v, width) for v in prow]
     return [deg for deg, _ in leads]
 
 def module_kernel(spec: CodeSpec, r: Word, scalars, widths) -> list[list[int]]:

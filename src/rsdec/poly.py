@@ -4,12 +4,13 @@ Coefficients are plain int residues in [0, q), stored ascending in
 degree: the constructor reduces every int mod q and strips trailing
 zeros, so the highest-index entry is nonzero. The zero polynomial
 stores nothing and has degree NEG_INF, a sentinel that compares below
-every integer, so degree-bound checks need no special cases.
+every integer, so degree-bound checks need no special cases. The decode
+kernel computes on `pack`ed ints, with a slot per coefficient.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -172,38 +173,51 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(field, quot), UniPoly(field, rem)
 
 
+def pack(coeffs: Sequence[int], width: int) -> int:
+    """One int with coeffs[i] in bits [i width, (i + 1) width); by halves, in near-linear time."""
+    if len(coeffs) > 64:
+        half = len(coeffs) // 2
+        return pack(coeffs[:half], width) | pack(coeffs[half:], width) << half * width
+    packed = 0
+    for c in reversed(coeffs):
+        packed = packed << width | c
+    return packed
+
+
+def unpack(packed: int, width: int) -> list[int]:
+    """The slots of `packed`, lowest first, up to its top nonzero one."""
+    return [packed >> at & (1 << width) - 1 for at in range(0, packed.bit_length(), width)]
+
+
 class Interpolator:
     """Interpolation on fixed distinct points x_j, G = prod (x - x_j).
 
     The polynomial of degree < n through the (x_j, v_j) is
     sum_j u_j v_j G / (x - x_j) with u_j = 1 / G'(x_j), so coefficient m
-    is sum_(l>m) G[l] P[l-m-1] in P[e] = sum_j u_j x_j^e v_j. The tails
-    of G and the table u_j x_j^e depend on the points only: they are
-    built once, here, and every call costs two matrix-vector products.
+    is sum_(l>m) G[l] P[l-m-1] in P[e] = sum_j u_j x_j^e v_j: coefficient
+    m + n of G rev(P). The table u_j x_j^e depends on the points only: built
+    once, here, and `pack`ed by columns C_j, rev(P) = sum_j v_j C_j, in slots
+    of bitlen(n (q-1)^2) bits, which fit G rev(P mod q) too (Kronecker).
     """
 
-    __slots__ = ("q", "weighted", "tails")
+    __slots__ = ("q", "width", "columns", "G")
 
     def __init__(self, G: UniPoly, xs: Sequence[int]):
-        q = G.field.q
-        n = len(xs)
-        powers = [[1] * n]  # powers[e][j] = x_j^e
-        for _ in range(n - 1):
-            powers.append([p * x % q for p, x in zip(powers[-1], xs)])
-        dG = [m * c for m, c in enumerate(G.coeffs)][1:]
-        u = [G.field.inv(sum(map(mul, dG, col))) for col in zip(*powers)]
-        self.q = q
-        self.weighted = [[a * b % q for a, b in zip(u, row)] for row in powers]
-        self.tails = [G.coeffs[m + 1 :] for m in range(n)]
+        q, n = G.field.q, len(xs)
+        dG = UniPoly(G.field, [m * c for m, c in enumerate(G.coeffs)][1:])
+        self.q, self.width, self.columns = q, (n * (q - 1) ** 2).bit_length(), []
+        for x in xs:  # C_j holds u_j x_j^e in slot n - 1 - e
+            column = accumulate(repeat(x, n - 1), lambda p, a: p * a % q, initial=G.field.inv(dG.evaluate(x)))
+            self.columns.append(pack(list(column)[::-1], self.width))
+        self.G = pack(G.coeffs, self.width)
 
     def __call__(self, value_lists) -> list[list[int]]:
         """Coefficients, ascending and stripped, of the interpolant of each
         list of values v_j in `value_lists`."""
-        q = self.q
-        out = []
+        q, width, out = self.q, self.width, []
         for values in value_lists:
-            P = [sum(map(mul, values, row)) % q for row in self.weighted]
-            coeffs = [sum(map(mul, tail, P)) % q for tail in self.tails]
+            rev_P = pack([v % q for v in unpack(sum(map(mul, values, self.columns)), width)], width)
+            coeffs = [c % q for c in unpack(self.G * rev_P >> len(self.columns) * width, width)]
             while coeffs and not coeffs[-1]:
                 coeffs.pop()
             out.append(coeffs)

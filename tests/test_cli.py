@@ -145,12 +145,35 @@ def test_bad_invocations(tmp_path, capsys):
         code, stdout, err = run(capsys, *argv, "--in", path, "--k", "4")
         assert (code, stdout) == (1, "")
         assert message in err
+    # at k = 1 the radius floor(s(n-1)/(s+1)) stops growing at s = n - 2
+    # while the systems grow as s^2, so larger orders are refused
+    for argv, bound in (
+        (("decode", "--method", "virs", "--s", "15"), 14),
+        (("decode", "--method", "mgs", "--s", "1000000000"), 14),
+        (("dump", "--matrix", "A", "--s", "15"), 14),
+        (("dump", "--matrix", "Bbar", "--s", "1000000000"), 14),
+        (("dump", "--matrix", "B", "--s", "15", "--tau", "3"), 14),
+        (("equiv", "--s", "1000000000"), 14),
+        (("dump", "--matrix", "A"), 1),  # the default order 2 at n = 3
+    ):
+        word = write_received(tmp_path, [1, 2, 3], "short.word") if bound == 1 else path
+        code, stdout, err = run(capsys, *argv, "--in", word, "--k", "1")
+        assert (code, stdout) == (1, "")
+        order = argv[argv.index("--s") + 1] if "--s" in argv else "2"
+        assert f"order {order} exceeds {bound}" in err
+    assert run(capsys, "decode", "--method", "mgs", "--s", "14", "--in", path, "--k", "1")[0] in (0, 2)
+    for order in (15, 1000000000):
+        cfg.write_text(json.dumps({**base, "k": 1, "s": order}))
+        code, stdout, err = run(capsys, "mc", "--config", str(cfg))
+        assert (code, stdout) == (1, "")
+        assert f"rsdec: error: order {order} exceeds 14" in err
     code, stdout, err = run(capsys, "dump", "--matrix", "wb", "--tau", "5", "--in", path, "--k", "4")
     assert (code, stdout) == (1, "")
     assert "--tau does not apply to --matrix wb" in err
-    code, stdout, err = run(capsys, "decode", "--method", "wb", "--s", "3", "--in", path, "--k", "4")
-    assert (code, stdout) == (1, "")
-    assert "--s does not apply to --method wb" in err
+    for order, k in (("3", "4"), ("1000000000", "1")):
+        code, stdout, err = run(capsys, "decode", "--method", "wb", "--s", order, "--in", path, "--k", k)
+        assert (code, stdout) == (1, "")
+        assert "--s does not apply to --method wb" in err
     for method in ("virs", "mgs"):
         code, stdout, err = run(capsys, "decode", "--method", method, "--s", "0", "--in", path, "--k", "4")
         assert (code, stdout) == (1, "")

@@ -31,7 +31,7 @@ from rsdec.code import interpolate_word, random_error
 from rsdec.gs import multiplicity_at
 from rsdec.mgs import block_widths, module_kernel
 from rsdec.outcome import canonical_stack, conclude, select_stack
-from rsdec.poly import locator_poly, poly_divrem
+from rsdec.poly import locator_poly, pack, poly_divrem
 from rsdec.wb import wb_build
 from test_keyeq import dense_virs, dense_wb
 
@@ -507,3 +507,87 @@ def test_singular_scaling_map_parts_virs_from_mgs():
     v, m = virs_decode(spec, r, 6), mgs_decode(spec, r, 6)
     assert (v.success, v.reason, v.kernel_dim) == (False, "interpolation system has no nonzero solution", 0)
     assert (m.success, m.reason, m.kernel_dim) == (False, "locator does not divide the message component", 1)
+
+
+def reference_weak_popov(rows, shifts, field):
+    """The list-based Mulders-Storjohann reduction that `weak_popov`
+    replaced, kept as its oracle: the same steps on coefficient lists."""
+    q = field.q
+
+    def lead(row):
+        return max((len(p) - 1 + sh, t) for t, (p, sh) in enumerate(zip(row, shifts)) if p)
+
+    leads = [lead(row) for row in rows]
+    owner = {}
+    todo = list(range(len(rows)))
+    while todo:
+        i = todo.pop()
+        pos = leads[i][1]
+        j = owner.setdefault(pos, i)
+        if j == i:
+            continue
+        if leads[j][0] > leads[i][0]:
+            owner[pos] = i
+            i, j = j, i
+        d = leads[i][0] - leads[j][0]
+        c = rows[i][pos][-1] * field.inv(rows[j][pos][-1]) % q
+        for a, b in zip(rows[i], rows[j]):
+            a.extend([0] * (d + len(b) - len(a)))
+            a[d : d + len(b)] = [(x - c * y) % q for x, y in zip(a[d:], b)]
+            while a and not a[-1]:
+                a.pop()
+        leads[i] = lead(rows[i])
+        todo.append(i)
+    return [deg for deg, _ in leads]
+
+
+@pytest.mark.parametrize("q,n,k,s,weights", [
+    (17, 16, 4, 2, (0, 3, 6, 7, 9)),
+    (5, 4, 1, 6, (0, 1, 2, 3)),  # s >= q: D(6) is singular mod 5
+    (17, 16, 4, 5, (0, 4, 8)),  # wide blocks: s(k-1) + 1 = n
+    (13, 6, 6, 1, (0, 1, 2)),  # k = n
+    (257, 64, 8, 2, (20, 28)),
+    (65521, 40, 4, 2, (0, 18, 23)),  # the top of Field's range: the widest slots
+])
+def test_packed_weak_popov_matches_the_list_reduction(q, n, k, s, weights):
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    shifts = [t * (k - 1) for t in range(s + 1)]
+    rng = random.Random(q * n + s)
+    for w in weights:
+        for _ in range(3):
+            f = UniPoly.from_ints(F, [rng.randrange(q) for _ in range(k)])
+            r = corrupt(encode(spec, f), random_error(spec, w, rng.randrange(2**32)))
+            for scalars in ((1,) * (s + 1), scaling_map(s, F)):
+                rows = rsdec.mgs.solution_module(spec, r, scalars)
+                expect = [[list(p) for p in row] for row in rows]
+                assert rsdec.mgs.weak_popov(rows, shifts, F) == reference_weak_popov(expect, shifts, F)
+                assert rows == expect
+
+
+def reduced_in_every_slot(q, values):
+    """True iff `slot_reduction` takes the int packing `values`, with the
+    last one in the top slot, to the int packing each value mod q."""
+    width, kappa, reduce = rsdec.mgs.slot_reduction(q)
+    assert values[-1] and pack(values, width).bit_length() > (len(values) - 1) * width
+    high = pack([(1 << width) - (1 << kappa)] * len(values), width)
+    return reduce(pack(values, width), high) == pack([v % q for v in values], width)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 17, 257])
+def test_slot_reduction_is_exact_on_every_slot_value(q):
+    # a reduction step leaves each slot in [0, (q-1)^2 + q); every such
+    # value, in ints of at most 4096 slots, each chunk's last in its top slot
+    top = (q - 1) ** 2 + q
+    for start in range(0, top, 4096):
+        assert reduced_in_every_slot(q, list(range(start, min(start + 4096, top))))
+
+
+def test_slot_reduction_is_exact_at_the_largest_field():
+    q = 65521
+    top = (q - 1) ** 2 + q
+    edges = [v for a in range(0, top, q) for v in (a, a + 1, a + q - 1) if 0 < v < top]
+    rng = random.Random(65521)
+    sample = [rng.randrange(1, top) for _ in range(20000)]
+    for values in (edges, sample, [q - 1] * 5 + [top - 1]):
+        assert reduced_in_every_slot(q, values)

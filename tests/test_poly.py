@@ -1,9 +1,12 @@
+import random
+from operator import mul
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rsdec import Field, UniPoly
-from rsdec.poly import Interpolator, locator_poly, NEG_INF, poly_divrem
+from rsdec.poly import Interpolator, locator_poly, NEG_INF, pack, poly_divrem, unpack
 
 F17 = Field(17)
 F7 = Field(7)
@@ -187,3 +190,52 @@ def test_mixed_field_operations_rejected():
         mkpoly(F17, [1]) * mkpoly(F7, [1])
     with pytest.raises(ValueError):
         poly_divrem(mkpoly(F17, [1]), mkpoly(F7, [1]))
+
+
+class ReferenceInterpolator:
+    """The list-based table that `Interpolator` replaced, kept as its
+    oracle: P[e] = sum_j u_j x_j^e v_j by rows, then the tail sums of G."""
+
+    def __init__(self, G, xs):
+        q = G.field.q
+        n = len(xs)
+        powers = [[1] * n]  # powers[e][j] = x_j^e
+        for _ in range(n - 1):
+            powers.append([p * x % q for p, x in zip(powers[-1], xs)])
+        dG = [m * c for m, c in enumerate(G.coeffs)][1:]
+        u = [G.field.inv(sum(map(mul, dG, col))) for col in zip(*powers)]
+        self.q = q
+        self.weighted = [[a * b % q for a, b in zip(u, row)] for row in powers]
+        self.tails = [G.coeffs[m + 1 :] for m in range(n)]
+
+    def __call__(self, value_lists):
+        q = self.q
+        out = []
+        for values in value_lists:
+            P = [sum(map(mul, values, row)) % q for row in self.weighted]
+            coeffs = [sum(map(mul, tail, P)) % q for tail in self.tails]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            out.append(coeffs)
+        return out
+
+
+@pytest.mark.parametrize("q,n", [(65521, 300), (3, 2), (17, 16), (257, 128), (7, 1)])
+def test_packed_interpolator_matches_the_list_table(q, n):
+    F = Field(q)
+    xs = [pow(F.primitive_element, i, q) for i in range(n)]
+    G = locator_poly(F, xs)
+    rng = random.Random(q + n)
+    value_lists = [[0] * n, [q - 1] * n, [1] * n] + [[rng.randrange(q) for _ in range(n)] for _ in range(4)]
+    out = Interpolator(G, xs)(value_lists)
+    assert out == ReferenceInterpolator(G, xs)(value_lists)
+    assert out[:3] == [[], [q - 1], [1]]
+
+
+@given(st.lists(st.integers(0, 2**40), max_size=200), st.integers(41, 70))
+def test_pack_round_trip(coeffs, width):
+    packed = pack(coeffs, width)
+    assert packed == sum(c << i * width for i, c in enumerate(coeffs))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert unpack(packed, width) == coeffs

@@ -55,7 +55,7 @@ def test_outcome_digest_is_pinned():
     done = run_script("outcome_digest.py")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (
-        "ae7574c7571e333c5ca728a22c814cddca2b8da8f31cfdcef3b909f64b753359  624 words, 11 codes\n"
+        "2a8e70448bc46a895879c3671153c7485400dd45727b47d014c3d2e25c7c7c36  634 words, 13 codes\n"
     )
 
 
