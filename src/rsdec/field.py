@@ -8,7 +8,7 @@ locators) and the one modular inverse, `Field.inv`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 
 def _is_prime(q: int) -> bool:
@@ -36,27 +36,15 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _pascal_row(n: int, q: int) -> tuple[int, ...]:
-    row = [1]
-    for _ in range(n):
-        nxt = [1]
-        for i in range(len(row) - 1):
-            nxt.append((row[i] + row[i + 1]) % q)
-        nxt.append(1 % q)
-        row = nxt
-    return tuple(row)
-
-
 def binom_mod(n: int, k: int, q: int) -> int:
-    """Binomial coefficient C(n, k) reduced mod q.
+    """Binomial coefficient C(n, k) reduced mod q, 0 outside 0 <= k <= n.
 
-    Computed by the Pascal recurrence so characteristic effects (e.g.
-    C(2,1) = 0 over GF(2)) come out right without big factorials.
+    Reduced from the exact integer, so characteristic effects (e.g.
+    C(2,1) = 0 over GF(2)) come out right.
     """
     if k < 0 or k > n:
         return 0
-    return _pascal_row(n, q)[k]
+    return math.comb(n, k) % q
 
 
 class Field:

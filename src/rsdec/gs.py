@@ -3,7 +3,8 @@
 The interpolation polynomial Q(x, y) must have y-degree at most ell,
 (1, k-1)-weighted degree below s(n - tau), and a zero of multiplicity
 s at every point (locator_i, r_i). Those constraints are linear in the
-coefficients, so one nullspace computation produces Q. The point of
+coefficients (`hasse_rows`, every order a + b < s; B-bar and wb keep
+only a = 0), so one nullspace computation produces Q. The point of
 this module is verifiability, not speed; no fast interpolation is
 attempted. It also hosts the univariate key-equation view: Q passes
 the interpolation constraints exactly when each Hasse y-derivative
@@ -48,36 +49,39 @@ def gs_params_valid(p: GsParams) -> tuple[bool, int, int]:
     return unknowns > constraints, unknowns, constraints
 
 
-def _constraint_matrix(spec: CodeSpec, r: Word, p: GsParams) -> Mat:
-    """Rows are mixed Hasse evaluations; columns ordered by y-degree
-    then x-degree, so nullspace bases are stable across runs."""
+def hasse_rows(spec: CodeSpec, r: Word, widths, orders) -> Mat:
+    """Hasse conditions on Q, one row per order (a, b) in `orders` (outer)
+    and point (alpha_j, r_j) (inner): the coefficient of u^a v^b in
+    Q(alpha_j + u, r_j + v), that is the sum over t >= b and i >= a of
+    C(t, b) r_j^(t-b) C(i, a) alpha_j^(i-a) times coefficient i of Q^(t).
+    Column block t holds the widths[t] coefficients of Q^(t), ascending.
+    GS asks for every a + b < s; B-bar keeps the orders (0, b), b < s."""
     q = spec.field.q
-    widths = p.column_widths()
+    top = max(widths)
+    xpows = [[1] * top for _ in spec.locators]
+    for xpow, v in zip(xpows, spec.locators):
+        for i in range(1, top):
+            xpow[i] = xpow[i - 1] * v % q
     rows = []
-    for xv, yv in zip(spec.locators, r.symbols):
-        max_width = max(widths)
-        xpow = [1] * max_width
-        for j in range(1, max_width):
-            xpow[j] = (xpow[j - 1] * xv) % q
-        ypow = [1] * (p.ell + 1)
-        for t in range(1, p.ell + 1):
-            ypow[t] = (ypow[t - 1] * yv) % q
-        for total in range(p.s):
-            for b in range(total + 1):
-                a = total - b
-                row = []
-                for t, width in enumerate(widths):
-                    if t < b:
-                        row.extend([0] * width)
-                        continue
-                    cy = (binom_mod(t, b, q) * ypow[t - b]) % q
-                    for j in range(width):
-                        if j < a or cy == 0:
-                            row.append(0)
-                        else:
-                            row.append((binom_mod(j, a, q) * xpow[j - a] * cy) % q)
-                rows.append(row)
+    for a, b in orders:
+        cx = [binom_mod(i, a, q) for i in range(a, top)]
+        cy = [binom_mod(t, b, q) for t in range(b, len(widths))]
+        for xpow, yv in zip(xpows, r.symbols):
+            # C(i, 0) = 1, so order a = 0 reads the Vandermonde row as it is
+            dx = xpow if a == 0 else [0] * a + [c * v % q for c, v in zip(cx, xpow)]
+            row = [0] * sum(widths[:b])
+            for t in range(b, len(widths)):
+                c = cy[t - b] * pow(yv, t - b, q) % q
+                row.extend([c * v % q for v in dx[: widths[t]]])
+            rows.append(row)
     return Mat(spec.field, rows)
+
+
+def _constraint_matrix(spec: CodeSpec, r: Word, p: GsParams) -> Mat:
+    """Every order a + b < s; columns ordered by y-degree then x-degree,
+    so nullspace bases are stable across runs."""
+    orders = [(total - b, b) for total in range(p.s) for b in range(total + 1)]
+    return hasse_rows(spec, r, p.column_widths(), orders)
 
 
 def gs_interpolate(spec: CodeSpec, r: Word, p: GsParams) -> BiPoly:

@@ -23,8 +23,9 @@ off the reduced rows: `module_kernel`. `interpolation_decode` then takes
 `outcome.canonical_stack`, splits Q^(t) = c_t Lambda f^(s-t) with
 `bivariate.extract_power_factor` and accepts through `outcome.conclude`.
 It is the package's only decode: mgs passes c = D(s), virs all ones
-(A's stacks) and wb D(1) on its own caps. The dense B-bar serves
-`rsdec equiv`, `rsdec dump` and `mc`, and is the tests' oracle.
+(A's stacks) and wb D(1) on its own caps. The dense B-bar, GS's Hasse
+rows of orders (0, b) (`gs.hasse_rows`), serves `rsdec equiv`,
+`rsdec dump` and `mc`, and is the tests' oracle.
 
 The module holds in every characteristic. Where D(s) is singular mod q
 (some C(s, t) = 0, possible once s >= q), the conditions on B-bar drop
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 from .bivariate import FactorError, extract_power_factor, scaling_map
 from .code import CodeSpec, Word
-from .field import binom_mod
+from .gs import hasse_rows
 from .linalg import Mat
 from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
 from .poly import pack, unpack
@@ -69,40 +70,20 @@ def block_widths(k: int, s: int, tau: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MgsSystem:
-    """Constraint matrix for the stacked coefficients (Q^(0), ..., Q^(s)).
-
-    Row band b' = 0..s-1 holds the derivative order b = s-1-b', one row
-    per point; within band b, the column block for component t >= b is
-    C(t, b) diag(r)^(t-b) M_(s-t), zero for t < b. Columns run block
-    t = 0 through t = s, degrees ascending inside each block.
-    """
+    """B-bar on the stacked coefficients (Q^(0), ..., Q^(s)), and its widths."""
 
     matrix: Mat
     widths: tuple[int, ...]
 
 
 def build_Bbar(spec: CodeSpec, r: Word, s: int, tau: int) -> MgsSystem:
+    """GS's Hasse rows (`gs.hasse_rows`) of orders (0, b) only, b = s-1
+    down to 0, on the caps `block_widths`."""
     if not feasible(spec.n, spec.k, s):
         raise ValueError(f"order {s} infeasible for (n, k) = ({spec.n}, {spec.k})")
     spec.check_word(r)
-    q = spec.field.q
     widths = block_widths(spec.k, s, tau)
-    max_width = widths[0]
-    rows = []
-    for b in range(s - 1, -1, -1):
-        for a, ri in zip(spec.locators, r.symbols):
-            xpow = [1] * max_width
-            for j in range(1, max_width):
-                xpow[j] = (xpow[j - 1] * a) % q
-            row = []
-            for t, width in enumerate(widths):
-                if t < b:
-                    row.extend([0] * width)
-                    continue
-                c = (binom_mod(t, b, q) * pow(ri, t - b, q)) % q
-                row.extend((c * xpow[j]) % q for j in range(width))
-            rows.append(row)
-    return MgsSystem(Mat(spec.field, rows), widths)
+    return MgsSystem(hasse_rows(spec, r, widths, [(0, b) for b in range(s - 1, -1, -1)]), widths)
 
 
 def solution_module(spec: CodeSpec, r: Word, scalars) -> list[list[list[int]]]:

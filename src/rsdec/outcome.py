@@ -97,14 +97,12 @@ def conclude(
 ) -> DecodeOutcome:
     """Final acceptance gate shared by all decoders.
 
-    Given a candidate (locator, message) pair, accept only if the
-    message fits the code dimension and the re-encoded codeword lies
-    within distance tau of the received word. A decoder never reports
-    a codeword farther than its radius. `kernel_dim` is passed through
-    to the outcome.
+    Given a candidate (locator, message) pair, deg f < k (as
+    `extract_power_factor` guarantees; `encode` raises otherwise), accept
+    only if the re-encoded codeword lies within distance tau of the
+    received word. A decoder never reports a codeword farther than its
+    radius. `kernel_dim` is passed through to the outcome.
     """
-    if f.degree >= spec.k:
-        return DecodeOutcome.failure(f"message degree {f.degree} >= dimension {spec.k}", kernel_dim)
     c = encode(spec, f)
     residual = corrupt(r, Word(spec.field, [-v for v in c.symbols]))
     if weight(residual) > tau:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -259,15 +260,25 @@ def test_bad_words_exit_1_and_name_the_problem(tmp_path, capsys):
     assert "length 3 is too short for k = 4" in err
 
 
+DUMP_SHA256 = [
+    ("A", ("--s", "2"), (32, 33), "77dff95f812c41557f9c2c33130c4a4eda163a7cbf2370df7c9de466a65a4e88"),
+    ("Bbar", ("--s", "2"), (32, 33), "19cbc77dafb5d20532a85b8796bcd6cd6cb7008335185984588421af3a113e23"),
+    ("B", ("--s", "2"), (32, 33), "6a1cef88865dfdb6794cfef1062380f54af096becbd5a51c59a17d8116db286f"),
+    ("wb", (), (16, 17), "9124a32627db66f1af8ec5cb9decc3a2a87f052356f76de10de07f8a81fa6c96"),
+    ("Bbar", ("--s", "3", "--tau", "4"), (48, 38), "85d6801f51d4d561d24202b0a282db43f153d01556aab867ef448f65ce0fe9e1"),
+]
+
+
 def test_dump_matrices(tmp_path, capsys):
     path = write_received(tmp_path)
-    for name, rows in [("A", 32), ("Bbar", 32), ("B", 32), ("wb", 16)]:
-        order = () if name == "wb" else ("--s", "2")
+    for name, order, (rows, cols), digest in DUMP_SHA256:
         code, stdout, _ = run(capsys, "dump", "--matrix", name, "--in", path, "--k", "4", "--alpha", "3", *order)
         assert code == 0
         data = [ln for ln in stdout.splitlines() if ln and not ln.startswith("#")]
         assert len(data) == rows
-        assert all(len(ln.split()) in (17, 33) for ln in data)
+        assert all(len(ln.split()) == cols for ln in data)
+        # the exact bytes, so no change to the row builder reorders or rescales a row
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_dump_order_defaults_to_two_and_is_refused_for_wb(tmp_path, capsys):

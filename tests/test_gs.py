@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import gf17_example as ex
@@ -9,10 +11,11 @@ from rsdec.gs import (
     _constraint_matrix,
     gs_interpolate,
     gs_params_valid,
+    hasse_rows,
     key_equation_check,
     multiplicity_at,
 )
-from rsdec.poly import locator_poly
+from rsdec.poly import locator_poly, split_blocks
 from rsdec.wb import wb_build
 
 F17 = Field(17)
@@ -177,3 +180,23 @@ def test_constraint_matrix_coincides_with_wb():
         gs_mat = _constraint_matrix(spec, r, half_distance_params(16, 4))
         wb_mat = wb_build(spec, r)
         assert gs_mat == wb_mat
+
+
+@pytest.mark.parametrize("q, n, k, s", [(17, 16, 4, 3), (11, 7, 2, 3), (5, 4, 1, 6), (3, 2, 1, 4)])
+def test_hasse_rows_match_shift_oracle(q, n, k, s):
+    # each row against the coefficient read off Q(x + alpha_j, y + r_j),
+    # on random widths (zero-width blocks included) and random Q
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    rng = random.Random(q * 1000 + s)
+    orders = [(a, b) for a in range(s) for b in range(s - a)]
+    for _ in range(3):
+        r = Word.from_ints(F, [rng.randrange(q) for _ in range(n)])
+        widths = [rng.randrange(9) for _ in range(rng.randint(1, s + 2))] + [0, rng.randrange(1, 9)]
+        vec = [rng.randrange(q) for _ in range(sum(widths))]
+        Q = BiPoly(F, split_blocks(F, vec, widths))
+        got = iter(hasse_rows(spec, r, widths, orders).mulvec(vec))
+        for a, b in orders:
+            for x0, y0 in zip(spec.locators, r.symbols):
+                assert next(got) == hasse_mixed(Q, a, b, x0, y0)
+        assert next(got, None) is None
