@@ -5,8 +5,10 @@ y-degree: Q(x, y) = sum_t Q_t(x) * y^t. Every formula this package
 needs (Hasse derivatives, substitution, power-factor extraction) is
 organized around those components, so no flat coefficient grid is kept.
 The decoders split a stack of components, not a BiPoly:
-`extract_power_factor` reads Lambda and f off Q^(t) = c_t Lambda f^(s-t)
-for the block scalars c of the decoder (`scaling_map` for mgs and wb).
+`extract_power_factor` reads Lambda and f off the top two components
+Lambda and c_(s-1) Lambda f, c being the decoder's block scalars
+(`scaling_map` for mgs and wb). On a solution-module element the lower
+components then are c_t Lambda f^(s-t) mod G already (see `mgs`).
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from .poly import NEG_INF, UniPoly, poly_divrem
 class FactorError(Exception):
     """Power-factor extraction failed; `reason` says which check broke.
 
-    reasons: "shape" (y-degree below the requested power, or no kernel
-    vector with a nonzero top block to build Q from), "division"
-    (candidate quotient not exact), "degree" (extracted f too large),
-    "expansion" (product does not reproduce the input).
+    reasons: "shape" (no kernel vector with a nonzero top block to build
+    Q from), "division" (candidate quotient not exact), "degree"
+    (extracted f too large).
     """
 
     def __init__(self, reason: str, message: str):
@@ -190,15 +191,15 @@ def scaling_map(s: int, field: Field) -> tuple[int, ...]:
     return tuple((-1) ** (s - t) * binom_mod(s, t, q) % q for t in range(s + 1))
 
 
-def extract_power_factor(stack, scalars, k: int, modulus=None) -> tuple[UniPoly, UniPoly]:
-    """(Lambda, f) with stack[t] = scalars[t] Lambda f^(s-t) for every t
-    and deg f < k, Lambda being the top block; or raise FactorError.
+def extract_power_factor(stack, scalars, k: int) -> tuple[UniPoly, UniPoly]:
+    """(Lambda, f) with stack[-2] = scalars[-2] Lambda f and deg f < k,
+    Lambda being the top block stack[-1]; or raise FactorError.
 
-    f = stack[s-1] / (scalars[s-1] Lambda) must divide exactly, and every
-    lower block is then checked against the progression: a stack passing
-    the division by luck but breaking this shape is a spurious solution.
-    A term of degree >= n is compared mod `modulus` G = prod (x - alpha_j),
-    as the canonical kernel vector holds such a block reduced mod G.
+    Only the top two blocks are read. On an element of the solution
+    module the lower blocks need no check: Q^(t) = c_t R_t Lambda mod G
+    there, and once the division is exact (c_(s-1) != 0)
+    Lambda(alpha_j)(f(alpha_j) - r_j) = 0 at every point, so Q^(t) =
+    c_t Lambda f^(s-t) mod G.
     """
     locator = stack[-1]
     f, rem = poly_divrem(stack[-2], locator * scalars[-2])
@@ -206,12 +207,4 @@ def extract_power_factor(stack, scalars, k: int, modulus=None) -> tuple[UniPoly,
         raise FactorError("division", "locator does not divide the message component")
     if f.degree >= k:
         raise FactorError("degree", f"message degree {f.degree} >= dimension {k}")
-    term = locator * f
-    for t in range(len(stack) - 3, -1, -1):
-        term = term * f
-        expect = term * scalars[t]
-        if modulus is not None and expect.degree >= modulus.degree:
-            expect = poly_divrem(expect, modulus)[1]
-        if stack[t] != expect:
-            raise FactorError("expansion", "solution stack is not a power progression")
     return locator, f

@@ -107,10 +107,6 @@ class Word:
         return f"Word({self.to_ints()})"
 
 
-def weight(w: Word) -> int:
-    return sum(1 for v in w.symbols if v)
-
-
 def encode(spec: CodeSpec, f: UniPoly) -> Word:
     if f.field != spec.field:
         raise ValueError("mixed fields")

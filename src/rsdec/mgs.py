@@ -16,12 +16,14 @@ exactly when (y - r_j)^s divides Q(alpha_j, y), so the solutions form
 the F[x]-module spanned by the G y^t (t < s) and (y - R)^s, with R
 interpolating r and G = prod (x - alpha_j); reduced mod G the last
 generator is y^s + sum_t D_t R_t y^t. `solution_module` builds these
-rows for any block scalars c in place of D, `weak_popov` reduces them
+rows for any block scalars c in place of D, and `weak_popov` reduces them
 (Mulders and Storjohann, on packed ints) under the shifts t(k-1) that
-turn the caps into one degree bound, and `capped_span` reads the kernel
-off the reduced rows: `module_kernel`. `interpolation_decode` then takes
-`outcome.canonical_stack`, splits Q^(t) = c_t Lambda f^(s-t) with
-`bivariate.extract_power_factor` and accepts through `outcome.conclude`.
+turn the caps into one degree bound: `reduced_module`.
+`interpolation_decode` spans the reduced rows within the caps over the
+top two blocks only (`outcome.capped_span`), both at most n wide, picks
+the lowest-degree locator (`outcome.select_stack`), splits Q^(s-1) =
+c_(s-1) Lambda f with `bivariate.extract_power_factor`, which says why
+the lower blocks need no check, and accepts through `outcome.conclude`.
 It is the package's only decode: mgs passes c = D(s), virs all ones
 (A's stacks) and wb D(1) on its own caps. The dense B-bar, GS's Hasse
 rows of orders (0, b) (`gs.hasse_rows`), serves `rsdec equiv`,
@@ -43,7 +45,7 @@ from .bivariate import FactorError, extract_power_factor, scaling_map
 from .code import CodeSpec, Word
 from .gs import hasse_rows
 from .linalg import Mat
-from .outcome import DecodeOutcome, canonical_stack, capped_span, conclude
+from .outcome import DecodeOutcome, capped_span, conclude, select_stack
 from .poly import pack, unpack
 
 
@@ -150,25 +152,21 @@ def weak_popov(rows, shifts, field) -> list[int]:
         row[:] = [unpack(v, width) for v in prow]
     return [deg for deg, _ in leads]
 
-def module_kernel(spec: CodeSpec, r: Word, scalars, widths) -> list[list[int]]:
-    """The kernel every decoder reads: the elements within the caps
-    `widths` of the module `solution_module(spec, r, scalars)` generates,
-    as flat vectors. `weak_popov` reduces the generators under the shifts
-    t(k-1) that turn the caps into one degree bound, and `capped_span`
-    spans the reduced rows within it."""
+def reduced_module(spec: CodeSpec, r: Word, scalars):
+    """`solution_module`'s rows in weak Popov form under the shifts t(k-1)
+    that turn the caps into one degree bound, and their shifted degrees."""
     rows = solution_module(spec, r, scalars)
-    degrees = weak_popov(rows, [t * (spec.k - 1) for t in range(len(rows))], spec.field)
-    return capped_span(rows, degrees, widths)
+    return rows, weak_popov(rows, [t * (spec.k - 1) for t in range(len(rows))], spec.field)
 
 
 def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths, scalars) -> DecodeOutcome:
     """Decode on the module with block scalars `scalars`: its span within
-    `widths`, `canonical_stack`, then the split Q^(t) = scalars[t] Lambda
-    f^(s-t), accepted within radius tau."""
-    kernel = module_kernel(spec, r, scalars, widths)
+    `widths` over the top two blocks, `select_stack`, then the split
+    Q^(s-1) = scalars[s-1] Lambda f, accepted within radius tau."""
+    rows, degrees = reduced_module(spec, r, scalars)
+    kernel = capped_span(rows, degrees, widths[0], widths[-2:])
     try:
-        stack = canonical_stack(spec, kernel, widths)
-        locator, f = extract_power_factor(stack, scalars, spec.k, spec.vanishing)
+        locator, f = extract_power_factor(select_stack(spec.field, kernel, widths[-2:]), scalars, spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))

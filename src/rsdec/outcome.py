@@ -1,15 +1,15 @@
 """Decoder result type and the stages shared by every decoder.
 
 Every decoder is `mgs.interpolation_decode`: reduce a basis of its
-solution module and span it within the caps (`capped_span`; together
-`mgs.module_kernel`), pick the canonical vector (`canonical_stack`),
-split it into (Lambda, f) with `bivariate.extract_power_factor`, and
-accept through `conclude`. The decoders differ only in their caps and
-in the block scalars c of the module's last generator and of a
-decodable stack Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs
-and D(1) for wb. `select_stack` depends on the space only, not on the
-basis it is given: the locator is the unique monic top block of lowest
-degree.
+solution module, span it within the caps over the top two blocks
+(`capped_span`), pick the vector with the lowest-degree locator
+(`select_stack`), split it into (Lambda, f) with
+`bivariate.extract_power_factor`, and accept through `conclude`. The
+decoders differ only in their caps and in the block scalars c of the
+module's last generator and of a decodable stack Q^(t) = c_t Lambda
+f^(s-t): ones for virs, D(s) for mgs and D(1) for wb. `select_stack`
+depends on the space only, not on the basis it is given: the locator is
+the unique monic top block of lowest degree.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivariate import FactorError
-from .code import CodeSpec, Word, corrupt, encode, weight
+from .code import CodeSpec, Word, encode
 from .field import Field
-from .poly import UniPoly, poly_divrem, split_blocks
+from .poly import UniPoly, split_blocks
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,17 @@ def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
     return split_blocks(field, by_degree[min(by_degree)], widths)
 
 
-def capped_span(basis, degrees, widths) -> list[list[int]]:
+def capped_span(basis, degrees, bound, widths) -> list[list[int]]:
     """Flat vectors x^i b for each row b of a reduced module basis and each
-    i with degrees[b] + i <= widths[0] - 1: by the predictable-degree
-    property, a basis of the module's elements within the caps."""
+    i with degrees[b] + i <= bound - 1: by the predictable-degree
+    property, with bound = w_0 the width of block 0, a basis of the
+    module's elements within the caps. Each vector lays out the top
+    len(widths) blocks of b, widths[-1] being the top block's."""
     return [
-        [v for p, width in zip(b, widths) for v in [0] * i + p + [0] * (width - i - len(p))]
+        [v for p, width in zip(b[-len(widths):], widths) for v in [0] * i + p + [0] * (width - i - len(p))]
         for b, d in zip(basis, degrees)
-        for i in range(widths[0] - d)
+        for i in range(bound - d)
     ]
-
-
-def canonical_stack(spec: CodeSpec, kernel, widths) -> tuple[UniPoly, ...]:
-    """The canonical kernel vector: `select_stack`'s, with every block
-    wider than n reduced mod G = prod (x - alpha_j), since kernel vectors
-    with a zero locator are G-multiples block by block."""
-    stack = select_stack(spec.field, kernel, widths)
-    return tuple(poly_divrem(p, spec.vanishing)[1] if p.degree >= spec.n else p for p in stack)
 
 
 def conclude(
@@ -104,11 +98,9 @@ def conclude(
     radius. `kernel_dim` is passed through to the outcome.
     """
     c = encode(spec, f)
-    residual = corrupt(r, Word(spec.field, [-v for v in c.symbols]))
-    if weight(residual) > tau:
-        return DecodeOutcome.failure(
-            f"corrected word at distance {weight(residual)} > radius {tau}", kernel_dim
-        )
+    distance = sum(a != b for a, b in zip(r.symbols, c.symbols))
+    if distance > tau:
+        return DecodeOutcome.failure(f"corrected word at distance {distance} > radius {tau}", kernel_dim)
     return DecodeOutcome(
         success=True,
         f=f,

@@ -167,46 +167,12 @@ def test_extract_power_factor_round_trip(W_coeffs, f_coeffs, s):
     assert got_f == f
 
 
-@given(
-    st.lists(st.integers(0, 16), min_size=1, max_size=3),
-    st.lists(st.integers(0, 16), max_size=3),
-    st.integers(2, 4),
-    st.data(),
-)
-def test_extract_power_factor_agrees_with_full_expansion(W_coeffs, f_coeffs, s, data):
-    # the component-wise check accepts exactly when the product
-    # W (y - f)^s, expanded, gives back Q
-    W = UniPoly.from_ints(F17, W_coeffs)
-    if W.is_zero():
-        W = UniPoly.one(F17)
-    f = UniPoly.from_ints(F17, f_coeffs)
-    comps = list(power_factor_poly(W, f, s).components)
-    t = data.draw(st.integers(0, s - 2))
-    comps[t] = comps[t] + UniPoly.from_ints(F17, data.draw(st.lists(st.integers(0, 16), max_size=3)))
-    Q = BiPoly(F17, comps)
-    k = max(len(f_coeffs), 1)
-    try:
-        got = split(Q, s, k)
-    except FactorError as err:
-        assert err.reason == "expansion"
-        got = None
-    assert (got is not None) == (power_factor_poly(W, f, s) == Q)
-
-
 def test_extract_power_factor_simple():
     x = UniPoly.from_ints(F17, [0, 1])
     Q = power_factor_poly(UniPoly.one(F17), x, 2)  # (y - x)^2
     W, f = split(Q, 2, 2)
     assert W == UniPoly.one(F17)
     assert f == x
-
-
-def test_extract_power_factor_no_factorization():
-    # y^2 - x has no double root in y
-    Q = bipoly(F17, [[0, 16], [], [1]])
-    with pytest.raises(FactorError) as err:
-        split(Q, 2, 4)
-    assert err.value.reason == "expansion"
 
 
 def test_extract_power_factor_inexact_division():

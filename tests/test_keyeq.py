@@ -23,8 +23,8 @@ from rsdec import (
 from rsdec.bivariate import FactorError, extract_power_factor
 from rsdec.code import random_error
 from rsdec.linalg import Mat
-from rsdec.mgs import block_widths, module_kernel, solution_module, weak_popov
-from rsdec.outcome import DecodeOutcome, conclude, select_stack
+from rsdec.mgs import block_widths, reduced_module, solution_module, weak_popov
+from rsdec.outcome import DecodeOutcome, capped_span, conclude, select_stack
 from rsdec.wb import wb_build
 from test_linalg import rank
 
@@ -55,7 +55,7 @@ def dense_virs(spec, r, s):
     kernel = nullspace(build_A(spec, r, s, tau))
     try:
         stack = select_stack(spec.field, kernel, block_widths(spec.k, s, tau))
-        locator, f = extract_power_factor(stack, (1,) * (s + 1), spec.k, spec.vanishing)
+        locator, f = extract_power_factor(stack, (1,) * (s + 1), spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau, locator, f, len(kernel))
@@ -66,7 +66,7 @@ def dense_wb(spec, r):
     kernel = nullspace(wb_build(spec, r))
     try:
         stack = select_stack(spec.field, kernel, (spec.n - tau0, spec.n - tau0 - spec.k + 1))
-        locator, f = extract_power_factor(stack, scaling_map(1, spec.field), spec.k, spec.vanishing)
+        locator, f = extract_power_factor(stack, scaling_map(1, spec.field), spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
     return conclude(spec, r, tau0, locator, f, len(kernel))
@@ -77,9 +77,11 @@ def summary(out):
 
 
 def module_span(spec, r, s):
-    """The F-basis of A's kernel that virs_decode reads off the reduced module."""
+    """The F-basis of A's kernel whose top two blocks virs_decode reads off
+    the reduced module, with every block laid out."""
     widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
-    return module_kernel(spec, r, (1,) * (s + 1), widths)
+    rows, degrees = reduced_module(spec, r, (1,) * (s + 1))
+    return capped_span(rows, degrees, widths[0], widths)
 
 
 @given(received_words())

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from rsdec import (
     build_Bbar,
     corrupt,
     encode,
+    feasible,
     mgs_decode,
     nullspace,
     scaling_map,
@@ -29,11 +31,12 @@ from rsdec import (
 from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, hasse_mixed, hasse_y, substitute_y
 from rsdec.code import interpolate_word, random_error
 from rsdec.gs import multiplicity_at
-from rsdec.mgs import block_widths, module_kernel
-from rsdec.outcome import canonical_stack, conclude, select_stack
+from rsdec.mgs import block_widths, reduced_module
+from rsdec.outcome import capped_span, conclude, select_stack
 from rsdec.poly import locator_poly, pack, poly_divrem
 from rsdec.wb import wb_build
 from test_keyeq import dense_virs, dense_wb
+from test_virs import _codewords_within
 
 F17 = Field(17)
 
@@ -43,12 +46,26 @@ def power_factor_poly(W, f, s):
     return BiPoly.from_uni(W) * BiPoly(W.field, (-f, UniPoly.one(W.field))) ** s
 
 
+def full_span(spec, r, scalars, widths):
+    """The module's elements within `widths` with every block laid out: the
+    view of the dense kernels, where the decode lays out the top two."""
+    rows, degrees = reduced_module(spec, r, scalars)
+    return capped_span(rows, degrees, widths[0], widths)
+
+
+def canonical_stack(spec, kernel, widths):
+    """`select_stack`'s vector with every block reduced mod G = prod (x -
+    alpha_j): kernel vectors with a zero locator are G-multiples block by
+    block, so this is the one vector of its class."""
+    return tuple(poly_divrem(p, spec.vanishing)[1] for p in select_stack(spec.field, kernel, widths))
+
+
 def mgs_interpolate(spec, r, s):
-    """The Q that mgs splits: the canonical vector of B-bar's span at order
-    s and radius `virs_radius`, read off the module kernel under D(s)."""
+    """The Q whose top two blocks mgs splits: the canonical vector of
+    B-bar's span at order s and radius `virs_radius`, read off the module
+    under D(s)."""
     widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
-    kernel = module_kernel(spec, r, scaling_map(s, spec.field), widths)
-    return BiPoly(spec.field, canonical_stack(spec, kernel, widths))
+    return BiPoly(spec.field, canonical_stack(spec, full_span(spec, r, scaling_map(s, spec.field), widths), widths))
 
 
 def errorfree_divisibility_check(Qbar, spec, r, error_positions, s):
@@ -298,9 +315,11 @@ def test_triple_order_decode(seed, wt):
     f = UniPoly.from_ints(F, [seed % 11, (seed // 11) % 11])
     r = corrupt(encode(spec, f), random_error(spec, wt, seed))
     out = mgs_decode(spec, r, 3)
-    assert out.success and out.f == f
-    Q = mgs_interpolate(spec, r, 3)
-    assert Q == power_factor_poly(Q.component(3), f, 3)
+    # tau = 3: a word with two codewords within it has no unique decoding
+    if len(_codewords_within(spec, r, 3)) == 1:
+        assert out.success and out.f == f
+        Q = mgs_interpolate(spec, r, 3)
+        assert Q == power_factor_poly(Q.component(3), f, 3)
 
 
 # (q, n, k, s): n - k odd and even, block 0 wider than n (RS(15,4) s=3,
@@ -336,7 +355,7 @@ def dense_mgs(spec, r, s):
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), None
     try:
-        locator, f = extract_power_factor(Q.components, scaling_map(s, spec.field), spec.k, spec.vanishing)
+        locator, f = extract_power_factor(Q.components, scaling_map(s, spec.field), spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), Q
     return conclude(spec, r, tau, locator, f, len(kernel)), Q
@@ -357,7 +376,7 @@ def test_interpolation_kernel_spans_the_dense_kernel(case):
         (build_Bbar(spec, r, s, tau).matrix, block_widths(spec.k, s, tau)),
         (wb_build(spec, r), (spec.n - tau0, spec.n - tau0 - spec.k + 1)),
     ):
-        kernel = module_kernel(spec, r, scaling_map(len(widths) - 1, spec.field), widths)
+        kernel = full_span(spec, r, scaling_map(len(widths) - 1, spec.field), widths)
         assert len(kernel) == len(nullspace(system))
         assert all(not any(system.mulvec(v)) for v in kernel)
         # linearly independent, so the span is all of the dense kernel
@@ -406,7 +425,8 @@ def test_wide_block_is_reduced_to_the_canonical_vector():
     # RS(15,4), s=3: block 0 has 16 columns, one more than n, so G e_0 is a
     # kernel vector with a zero locator. Added to the canonical vector it
     # gives one with the same locator and degree n in block 0; modulo G it
-    # is the canonical vector again, and only that one splits
+    # is the canonical vector again, and its top two blocks, all the
+    # decode reads, are the canonical vector's
     F = Field(17)
     spec = CodeSpec(F, 15, 4)
     f = UniPoly.from_ints(F, [1, 2, 3, 4])
@@ -414,16 +434,74 @@ def test_wide_block_is_reduced_to_the_canonical_vector():
     tau = virs_radius(15, 4, 3)
     widths = block_widths(4, 3, tau)
     assert widths[0] == 16
-    canonical = canonical_stack(spec, module_kernel(spec, r, scaling_map(3, F), widths), widths)
+    canonical = canonical_stack(spec, full_span(spec, r, scaling_map(3, F), widths), widths)
     detour = [p.coeffs + (0,) * (width - len(p.coeffs)) for p, width in zip(canonical, widths)]
     detour[0] = [(a + g) % 17 for a, g in zip(detour[0], spec.vanishing.coeffs)]
     detour = [c for block in detour for c in block]
     assert not any(build_Bbar(spec, r, 3, tau).matrix.mulvec(detour))
     assert select_stack(F, [detour], widths)[0].degree == 15
+    assert select_stack(F, [detour], widths)[-2:] == canonical[-2:]
     assert canonical_stack(spec, [detour], widths) == canonical
     _, Q = dense_mgs(spec, r, 3)
     assert mgs_interpolate(spec, r, 3) == Q
     assert mgs_decode(spec, r, 3).f == f
+
+
+def decoder_systems(spec, s):
+    """(radius, caps, block scalars) of virs and mgs at order s, and of wb."""
+    tau, tau0 = virs_radius(spec.n, spec.k, s), wb_radius(spec.n, spec.k)
+    widths = block_widths(spec.k, s, tau)
+    return (
+        (tau, widths, (1,) * (s + 1)),
+        (tau, widths, scaling_map(s, spec.field)),
+        (tau0, block_widths(spec.k, 1, spec.n - spec.k - tau0), scaling_map(1, spec.field)),
+    )
+
+
+@pytest.mark.parametrize("q,n,k,s", CODES)
+def test_split_module_element_is_a_power_progression_mod_G(q, n, k, s):
+    # what lets the decode read the top two blocks alone: whenever they
+    # split, the full-width vector is c_t Lambda f^(s-t) mod G in every
+    # block, and the decode splits that vector's top two blocks
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    G = spec.vanishing
+    rng = random.Random(q * n + s)
+    splits = [0, 0, 0]
+    for w in range(n + 1):
+        for _ in range(3):
+            f = UniPoly.from_ints(F, [rng.randrange(q) for _ in range(k)])
+            r = corrupt(encode(spec, f), random_error(spec, w, rng.randrange(2**32)))
+            for i, (tau, widths, scalars) in enumerate(decoder_systems(spec, s)):
+                with mock.patch.object(rsdec.mgs, "extract_power_factor", wraps=extract_power_factor) as read:
+                    rsdec.mgs.interpolation_decode(spec, r, tau, widths, scalars)
+                try:
+                    stack = select_stack(F, full_span(spec, r, scalars, widths), widths)
+                except FactorError:
+                    assert not read.called
+                    continue
+                assert read.call_args.args[0] == stack[-2:]
+                try:
+                    locator, g = extract_power_factor(stack, scalars, k)
+                except FactorError:
+                    continue
+                expect = [locator * g ** (len(widths) - 1 - t) * c for t, c in enumerate(scalars)]
+                assert [poly_divrem(p, G)[1] for p in stack] == [poly_divrem(p, G)[1] for p in expect]
+                splits[i] += 1
+    assert all(splits)
+
+
+def test_split_blocks_are_never_wider_than_n():
+    # the two blocks the decode reads have degree < n, so neither ever
+    # needs reducing mod G: blocks s-1 and s at the virs radius, and wb's
+    # block 0, the wider of its two
+    for n in range(1, 200):
+        for k in range(1, n + 1):
+            assert block_widths(k, 1, n - k - wb_radius(n, k))[0] <= n
+            for s in range(1, 40):
+                if not feasible(n, k, s):
+                    break
+                assert block_widths(k, s, virs_radius(n, k, s))[s - 1] <= n
 
 
 def test_decode_eliminates_nothing(monkeypatch):

@@ -13,13 +13,11 @@ from rsdec import (
     encode,
     feasible,
     mgs_decode,
-    scaling_map,
     virs_decode,
     virs_radius,
     wb_decode,
     wb_radius,
 )
-from rsdec.bivariate import FactorError, extract_power_factor
 from rsdec.code import random_error
 from rsdec.poly import locator_poly, split_blocks
 from rsdec.virs import block_widths
@@ -178,7 +176,8 @@ def test_matches_interpolation_decoder_per_trial(seed, wt):
     assert a.success == b.success
     if a.success:
         assert (a.f, a.locator) == (b.f, b.locator)
-    if wt <= 3:
+    # a word with two codewords within tau = 3 has no unique decoding
+    if wt <= 3 and len(_codewords_within(spec, r, 3)) == 1:
         assert a.success and a.f == f
 
 
@@ -252,9 +251,9 @@ def test_degenerate_widths_keep_decoders_in_agreement():
 
 
 def test_wide_block_words_decode():
-    # RS(16,4), s=5 (tau = 5): blocks 0 and 1 are wider than n, so the
-    # canonical vector holds Lambda f^5 and Lambda f^4 reduced mod G, and
-    # the split compares them mod G
+    # RS(16,4), s=5 (tau = 5): blocks 0 and 1 are wider than n and hold
+    # Lambda f^5 and Lambda f^4 only mod G, but the split reads blocks 4
+    # and 5, at most n wide
     F = Field(17)
     spec = CodeSpec(F, 16, 4)
     f = UniPoly.from_ints(F, [1, 2, 3, 4])
@@ -265,19 +264,6 @@ def test_wide_block_words_decode():
             a = virs_decode(spec, r, 5)
             assert a == mgs_decode(spec, r, 5)
             assert a.success and a.f == f
-
-
-@pytest.mark.parametrize("scalars", [(1, 1, 1), scaling_map(2, F17)])
-def test_split_rejects_a_stack_that_is_not_a_power_progression(scalars):
-    # scalars of virs, then of mgs; the division alone passes on both stacks
-    f = UniPoly.from_ints(F17, [1, 2, 3])
-    lam = locator_poly(F17, [3, 9])
-    stack = [lam * f**2 * scalars[0], lam * f * scalars[1], lam]
-    assert extract_power_factor(stack, scalars, 4) == (lam, f)
-    stack[0] = stack[0] + UniPoly.one(F17)
-    with pytest.raises(FactorError) as err:
-        extract_power_factor(stack, scalars, 4)
-    assert str(err.value) == "solution stack is not a power progression"
 
 
 def test_stack_vector_round_trip():
