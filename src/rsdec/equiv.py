@@ -9,9 +9,12 @@ stack solving A is Q^(t) = Lambda f^(s-t), then expanding
 shows the interpolation stack is Qbar^(t) = (-1)^(s-t) C(s, t) Q^(t):
 a diagonal column scaling D, constant on each block, whose scalars are
 `bivariate.scaling_map`, the decoders' own. Hence B = Bbar D
-has the same nullspace as A, which this module checks directly by
-basis membership in both directions rather than replaying row
-operations.
+has the same nullspace as A, which this module checks by comparing
+canonical bases: `nullspace`'s basis of a kernel is determined by the
+kernel alone, and column scaling maps the canonical basis of ker(Bbar)
+onto that of ker(Bbar D) up to one scalar per vector, so equal spaces
+give equal lists and unequal spaces unequal ones. No matrix-vector
+product and no replayed row operation is needed.
 """
 
 from __future__ import annotations
@@ -47,11 +50,15 @@ def nullspace_equivalence(A: Mat, Bbar: Mat, D: tuple[int, ...], widths) -> bool
 
 
 def kernels_equivalent(A: Mat, Bbar: Mat, D: tuple[int, ...], widths, basis_a, basis_b) -> bool:
-    """`nullspace_equivalence` given the kernel bases of A and Bbar.
+    """`nullspace_equivalence` given `nullspace(A)` and `nullspace(Bbar)`.
 
-    Checks dim null(A) = dim null(Bbar), D v in null(Bbar) for every
-    basis vector v of null(A), and D^(-1) w in null(A) for every basis
-    vector w of null(Bbar). D is the tuple of block scalars.
+    The bases must be `nullspace`'s canonical ones, each vector 1 in its
+    free column, its last nonzero entry, and 0 in the other free columns.
+    Scaling columns by the nonzero D keeps the pivot and free columns, so
+    the canonical basis of ker(Bbar D) = D^(-1) ker(Bbar) is D^(-1) w,
+    rescaled to 1 in its last nonzero entry, for each w in basis_b. A
+    subspace has exactly one canonical basis, so the two kernels are equal
+    exactly when that list equals basis_a. D is the tuple of block scalars.
     """
     if not all(D):
         raise ValueError("scaling map is singular in this characteristic")
@@ -59,10 +66,11 @@ def kernels_equivalent(A: Mat, Bbar: Mat, D: tuple[int, ...], widths, basis_a, b
         raise ValueError("systems have different shapes")
     if A.ncols != sum(widths):
         raise ValueError("widths do not cover the columns")
-    if len(basis_a) != len(basis_b):
-        return False
     q = A.field.q
-    if any(any(Bbar.mulvec(_scale(q, v, D, widths))) for v in basis_a):
-        return False
     inverse = tuple(A.field.inv(c) for c in D)
-    return not any(any(A.mulvec(_scale(q, w, inverse, widths))) for w in basis_b)
+    canonical = []
+    for w in basis_b:
+        v = _scale(q, w, inverse, widths)
+        c = A.field.inv(next(x for x in reversed(v) if x))
+        canonical.append([x * c % q for x in v])
+    return canonical == basis_a

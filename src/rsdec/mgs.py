@@ -39,14 +39,13 @@ fail for different reasons, as on RS(4,1) over GF(5) with s = 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bivariate import FactorError, extract_power_factor, scaling_map
 from .code import CodeSpec, Word
 from .gs import hasse_rows
 from .linalg import Mat
 from .outcome import DecodeOutcome, capped_span, conclude, select_stack
-from .poly import pack, unpack
+from .poly import pack, slot_reduction, unpack
 
 
 def feasible(n: int, k: int, s: int) -> bool:
@@ -105,25 +104,16 @@ def solution_module(spec: CodeSpec, r: Word, scalars) -> list[list[list[int]]]:
     G = spec.vanishing.coeffs
     return [[list(G) if t == i else [] for t in range(s + 1)] for i in range(s)] + [last]
 
-@lru_cache(maxsize=None)
-def slot_reduction(q: int):
-    """(W, kappa, reduce): reduce(v, high) takes every W-bit slot of v mod q,
-    `high` selecting bits kappa..W-1 of each. A slot v < 2^N, N =
-    bitlen((q-1)^2 + q), has v // q = (v m) >> kappa, m = ceil(2^kappa / q)
-    (Granlund and Montgomery), and v m < 2^W spills into no other slot."""
-    top = ((q - 1) ** 2 + q).bit_length()
-    kappa = top + (q - 1).bit_length()
-    m = -(-(1 << kappa) // q)
-    return (((1 << top) - 1) * m).bit_length(), kappa, lambda v, high: v - q * ((v * m & high) >> kappa)
-
 
 def weak_popov(rows, shifts, field) -> list[int]:
     """Mulders-Storjohann, in place, column t shifted by shifts[t]: while
     two rows share a leading position (rightmost column of top shifted
     degree), the higher loses its leading term to c x^d times the other.
     Returns the shifted degrees of the rows, now in weak Popov form. A
-    step is a + (q - c) x^d b on `pack`ed components, then `slot_reduction`."""
-    width, kappa, reduce = slot_reduction(field.q)
+    step is a + (q - c) x^d b on `pack`ed components, then one
+    `poly.slot_reduction`: a slot starts below q and the step adds at most
+    (q - 1)^2 to it, so it stays below (q - 1)^2 + q."""
+    width, kappa, reduce = slot_reduction(field.q, (field.q - 1) ** 2 + field.q)
     packed = [[pack(p, width) for p in row] for row in rows]
 
     def lead(row):

@@ -5,11 +5,14 @@ degree: the constructor reduces every int mod q and strips trailing
 zeros, so the highest-index entry is nonzero. The zero polynomial
 stores nothing and has degree NEG_INF, a sentinel that compares below
 every integer, so degree-bound checks need no special cases. The decode
-kernel computes on `pack`ed ints, with a slot per coefficient.
+kernel and the dense elimination compute on `pack`ed ints, with a slot
+per coefficient or entry, and this module owns that format: `pack`,
+`unpack`, and `slot_reduction`, which takes every slot mod q at once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
@@ -184,9 +187,34 @@ def pack(coeffs: Sequence[int], width: int) -> int:
     return packed
 
 
-def unpack(packed: int, width: int) -> list[int]:
-    """The slots of `packed`, lowest first, up to its top nonzero one."""
-    return [packed >> at & (1 << width) - 1 for at in range(0, packed.bit_length(), width)]
+def unpack(packed: int, width: int, count: int | None = None) -> list[int]:
+    """The first `count` slots of `packed`, lowest first, or all up to its
+    top nonzero one; by halves, like `pack`."""
+    if count is None:
+        count = -(-packed.bit_length() // width)
+    if count > 32:
+        half = count // 2
+        low = unpack(packed & (1 << half * width) - 1, width, half)
+        return low + unpack(packed >> half * width, width, count - half)
+    mask, slots = (1 << width) - 1, []
+    for _ in range(count):
+        slots.append(packed & mask)
+        packed >>= width
+    return slots
+
+
+@lru_cache(maxsize=128)
+def slot_reduction(q: int, largest_slot_value: int):
+    """(W, kappa, reduce) for slots that never exceed `largest_slot_value`:
+    reduce(v, high) takes every W-bit slot of v mod q, `high` selecting
+    bits kappa..W-1 of each. A slot v < 2^N, N = bitlen(largest_slot_value),
+    has v // q = (v m) >> kappa, m = ceil(2^kappa / q) (Granlund and
+    Montgomery), and v m < 2^W spills into no other slot. Each caller
+    states its own bound: `mgs.weak_popov` and `linalg._rref_ints`."""
+    top = largest_slot_value.bit_length()
+    kappa = top + (q - 1).bit_length()
+    m = -(-(1 << kappa) // q)
+    return (((1 << top) - 1) * m).bit_length(), kappa, lambda v, high: v - q * ((v * m & high) >> kappa)
 
 
 class Interpolator:

@@ -20,6 +20,7 @@ from rsdec.bivariate import BiPoly
 from rsdec.code import random_error
 from rsdec.equiv import _scale, build_B, kernels_equivalent
 from rsdec.linalg import Mat
+from rsdec.mgs import virs_radius
 from rsdec.poly import locator_poly
 from rsdec.wb import wb_build
 from test_linalg import rank
@@ -169,3 +170,46 @@ def test_equivalence_order_three(seed):
     D = scaling_map(3, F)
     assert D == (10, 3, 8, 1)
     assert nullspace_equivalence(A, sysb.matrix, D, sysb.widths)
+
+
+def membership_equivalent(A, Bbar, D, widths, basis_a, basis_b):
+    """The mat-vec check `kernels_equivalent` replaced, kept as its oracle:
+    equal dimensions, D v in ker(Bbar) for each v in basis_a, and
+    D^(-1) w in ker(A) for each w in basis_b."""
+    q = A.field.q
+    if len(basis_a) != len(basis_b):
+        return False
+    if any(any(Bbar.mulvec(_scale(q, v, D, widths))) for v in basis_a):
+        return False
+    inverse = tuple(A.field.inv(c) for c in D)
+    return not any(any(A.mulvec(_scale(q, w, inverse, widths))) for w in basis_b)
+
+
+@pytest.mark.parametrize("q,n,k,s,weights", [
+    (17, 16, 4, 2, (0, 3, 5, 6, 7)),
+    (11, 7, 2, 3, (0, 1, 2, 3)),
+    (257, 64, 8, 2, (0, 20, 35)),  # kernel dimensions 36, 16 and 1
+])
+def test_canonical_bases_agree_with_the_membership_check(q, n, k, s, weights):
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    tau = virs_radius(n, k, s)
+    D = scaling_map(s, F)
+    doubled = (D[0], 2 * D[1] % q) + D[2:]
+    for seed, w in enumerate(weights):
+        f = UniPoly.from_ints(F, [(seed * 7 + i) % q for i in range(k)])
+        r = corrupt(encode(spec, f), random_error(spec, w, seed))
+        A = build_A(spec, r, s, tau)
+        system = build_Bbar(spec, r, s, tau)
+        basis_b = nullspace(system.matrix)
+        # as in the corruption test, one entry of row 3 moves by 1; here in
+        # the free column of a kernel vector, so that it leaves ker(A)
+        bad = [list(row) for row in A.rows]
+        free = max(j for j, x in enumerate(nullspace(A)[0]) if x)
+        bad[3][free] = (bad[3][free] + 1) % q
+        A_bad = Mat(F, bad)
+        for A_case, D_case, want in ((A, D, True), (A, doubled, False), (A_bad, D, False)):
+            basis_a = nullspace(A_case)
+            got = kernels_equivalent(A_case, system.matrix, D_case, system.widths, basis_a, basis_b)
+            assert got == membership_equivalent(A_case, system.matrix, D_case, system.widths, basis_a, basis_b)
+            assert got is want

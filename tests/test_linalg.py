@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rsdec.linalg
 from rsdec import Field, nullspace
 from rsdec.linalg import Mat, _rref_ints
+from rsdec.poly import slot_reduction, unpack
 
 F5 = Field(5)
 F3 = Field(3)
@@ -128,3 +130,106 @@ def test_mat_validation_and_accessors():
 def test_mulvec():
     mat = Mat(F5, [[1, 2], [3, 4]])
     assert mat.mulvec([1, 1]) == [3, 2]
+
+
+def reference_rref(rows, q):
+    """The list-based elimination that the packed `_rref_ints` replaced,
+    kept as its oracle: the same pivots, each row update reduced mod q."""
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = -1
+        for i in range(r, nrows):
+            if work[i][col]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        inv = pow(work[r][col], q - 2, q)
+        if inv != 1:
+            work[r] = [(v * inv) % q for v in work[r]]
+        prow = work[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            fac = work[i][col]
+            if fac:
+                work[i] = [(a - fac * b) % q for a, b in zip(work[i], prow)]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
+
+
+def watch_slots(monkeypatch):
+    """Record every slot `_rref_ints` hands to its reduction, which is each
+    slot's largest value: slots only grow between reductions."""
+    seen = []
+
+    def watched(q, largest):
+        width, kappa, reduce = slot_reduction(q, largest)
+
+        def recording(v, high):
+            seen.extend(unpack(v, width))
+            return reduce(v, high)
+
+        return width, kappa, recording
+
+    monkeypatch.setattr(rsdec.linalg, "slot_reduction", watched)
+    return seen
+
+
+@st.composite
+def shaped_rows(draw, q):
+    """A matrix L R over GF(q), in one of four shapes: no columns, wide,
+    tall, or square-ish of rank below min(nrows, ncols)."""
+    shape = draw(st.sampled_from(("zero-column", "wide", "tall", "rank-deficient")))
+    if shape == "zero-column":
+        nrows, ncols = draw(st.integers(0, 4)), 0
+    elif shape == "wide":
+        nrows = draw(st.integers(1, 5))
+        ncols = draw(st.integers(nrows + 1, 12))
+    elif shape == "tall":
+        ncols = draw(st.integers(1, 5))
+        nrows = draw(st.integers(ncols + 1, 12))
+    else:
+        nrows, ncols = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    full = min(nrows, ncols)
+    rank = draw(st.integers(0, full - 1)) if shape == "rank-deficient" else full
+    entry = st.integers(0, q - 1)
+    left = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+    return [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*right)] if right else [0] * ncols
+            for row in left]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 17, 257, 65521])
+@given(data=st.data())
+def test_packed_rref_matches_the_list_reduction(q, data):
+    rows = data.draw(shaped_rows(q))
+    expect = reference_rref(rows, q)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = watch_slots(monkeypatch)
+        assert _rref_ints(rows, q) == expect
+    steps = min(len(rows), len(rows[0]) if rows else 0)
+    assert max(seen, default=0) <= q - 1 + steps * (q - 1) ** 2
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (5, 7), (65521, 2)])
+def test_a_slot_reaches_the_update_bound(monkeypatch, q, m):
+    # rows e_j + (q-1) e_m for j < m, then e_m, then (1, ..., 1, q-1): the
+    # last row takes every update, m of them adding (q-1)^2 to its slot m
+    # and, as m = 2 mod q leaves that slot at 1 mod q, a last one adding
+    # q-1; at q = 2 that is (q-1) + min(nrows, ncols) (q-1)^2 exactly
+    rows = [[int(i == j) for i in range(m)] + [q - 1] for j in range(m)]
+    rows += [[0] * m + [1], [1] * m + [q - 1]]
+    seen = watch_slots(monkeypatch)
+    assert _rref_ints(rows, q) == reference_rref(rows, q)
+    bound = q - 1 + min(len(rows), m + 1) * (q - 1) ** 2
+    assert max(seen) == q - 1 + m * (q - 1) ** 2 + q - 1 <= bound
+    assert (max(seen) == bound) == (q == 2)

@@ -33,7 +33,7 @@ from rsdec.code import interpolate_word, random_error
 from rsdec.gs import multiplicity_at
 from rsdec.mgs import block_widths, reduced_module
 from rsdec.outcome import capped_span, conclude, select_stack
-from rsdec.poly import locator_poly, pack, poly_divrem
+from rsdec.poly import locator_poly, pack, poly_divrem, slot_reduction
 from rsdec.wb import wb_build
 from test_keyeq import dense_virs, dense_wb
 from test_virs import _codewords_within
@@ -646,7 +646,7 @@ def test_packed_weak_popov_matches_the_list_reduction(q, n, k, s, weights):
 def reduced_in_every_slot(q, values):
     """True iff `slot_reduction` takes the int packing `values`, with the
     last one in the top slot, to the int packing each value mod q."""
-    width, kappa, reduce = rsdec.mgs.slot_reduction(q)
+    width, kappa, reduce = slot_reduction(q, (q - 1) ** 2 + q)
     assert values[-1] and pack(values, width).bit_length() > (len(values) - 1) * width
     high = pack([(1 << width) - (1 << kappa)] * len(values), width)
     return reduce(pack(values, width), high) == pack([v % q for v in values], width)
