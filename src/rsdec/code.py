@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .field import Field
-from .poly import Interpolator, UniPoly, locator_poly
+from .poly import Evaluator, Interpolator, UniPoly, locator_poly, poly_divrem
 from .rng import Stream
 
 
@@ -58,9 +58,18 @@ class CodeSpec:
         """Interpolation on the code locators, built on first use."""
         return Interpolator(self.vanishing, self.locators)
 
+    @cached_property
+    def evaluator(self) -> Evaluator:
+        """Evaluation at the code locators, built on first use."""
+        return Evaluator(self.field, self.locators)
+
     def positions_of_roots(self, p: UniPoly) -> tuple[int, ...]:
-        """Indices i with p(locators[i]) = 0."""
-        return tuple(i for i, a in enumerate(self.locators) if p.evaluate(a) == 0)
+        """Indices i with p(locators[i]) = 0, read off one `evaluator`
+        lookup; p of degree n or more is first reduced mod G, which
+        vanishes on every locator."""
+        if p.degree >= self.n:
+            p = poly_divrem(p, self.vanishing)[1]
+        return tuple(i for i, v in enumerate(self.evaluator(p.coeffs)) if not v)
 
     def check_word(self, r: "Word") -> None:
         """Reject, at the decoders' edge, a word not of n symbols over this field."""

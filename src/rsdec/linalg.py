@@ -3,12 +3,13 @@
 Matrices are immutable tuples of int residues in [0, q), and every
 function here takes and returns plain ints, the package's one scalar
 type: vectors, kernel bases and products alike. Elimination runs on
-one working copy made by `_rref_ints`, which holds each row as one
+one working copy made by `_eliminate`, which holds each row as one
 `poly.pack`ed int, an entry per slot, and updates a row in one big-int
 step. The slots are reduced lazily: an update adds at most (q - 1)^2 to
 a slot and a row takes at most one update per pivot, so slots sized for
 (q - 1) + min(nrows, ncols) (q - 1)^2 never overflow, and only pivot
-rows and the result are reduced (`poly.slot_reduction`).
+rows are reduced (`poly.slot_reduction`). `nullspace` reads the few
+slots it needs and takes each mod q; nothing else is unpacked.
 
 The nullspace basis is canonical: for each free column j there is one
 basis vector with a 1 in position j, zeros in the other free positions,
@@ -39,12 +40,6 @@ class Mat:
         self.nrows = len(normalized)
         self.ncols = width
 
-    def mulvec(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        q = self.field.q
-        return [sum(a * b for a, b in zip(row, vec)) % q for row in self.rows]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
@@ -57,17 +52,18 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols} over {self.field})"
 
 
-def _rref_ints(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce residues in [0, q) on a copy; returns (rref rows, pivot cols).
+def _eliminate(rows: Sequence[Sequence[int]], q: int) -> tuple[list[int], list[int], int]:
+    """Row-reduce residues in [0, q) on a copy; returns (packed rows, pivot
+    cols, slot width W).
 
-    Pivot selection is leftmost column, first nonzero row, so the result
-    is the unique reduced row echelon form. Each row is one `pack`ed int
-    and a row update is one big-int step, row + (q - fac) prow, with the
-    slots left unreduced: only the new pivot row is reduced, and every
-    row once more on exit. A slot starts below q and gains at most
+    Pivot selection is leftmost column, first nonzero row, so the rows
+    hold the unique reduced row echelon form, each entry in its own W-bit
+    slot but not yet reduced mod q. A row update is one big-int step,
+    row + (q - fac) prow, with the slots left unreduced: only the new
+    pivot row is reduced. A slot starts below q and gains at most
     (q - 1)^2 per update, one update per pivot, so no slot exceeds
     (q - 1) + min(nrows, ncols) (q - 1)^2, the bound `slot_reduction` is
-    sized for.
+    sized for; a slot read and taken mod q is exact.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -95,20 +91,32 @@ def _rref_ints(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], 
         pivots.append(col)
         if r + 1 == nrows:
             break
-    return [unpack(reduce(row, high), width, ncols) for row in work], pivots
+    return work, pivots, width
+
+
+def _rref_ints(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """(rref rows, pivot cols): `_eliminate`'s rows unpacked, every entry
+    taken mod q. Only the tests read whole reduced rows."""
+    ncols = len(rows[0]) if rows else 0
+    work, pivots, width = _eliminate(rows, q)
+    return [[v % q for v in unpack(row, width, ncols)] for row in work], pivots
 
 
 def nullspace(mat: Mat) -> list[list[int]]:
-    """Canonical basis of the right kernel, one vector per free column."""
+    """Canonical basis of the right kernel, one vector per free column,
+    read straight off `_eliminate`'s packed rows: only the pivot rows'
+    free-column slots, each taken mod q."""
     q = mat.field.q
-    reduced, pivots = _rref_ints(mat.rows, q)
+    work, pivots, width = _eliminate(mat.rows, q)
+    mask = (1 << width) - 1
     pivot_set = set(pivots)
     free = [j for j in range(mat.ncols) if j not in pivot_set]
     basis = []
     for j in free:
         v = [0] * mat.ncols
         v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-reduced[r][j]) % q
+        at = j * width
+        for row, pc in zip(work, pivots):
+            v[pc] = -(row >> at & mask) % q
         basis.append(v)
     return basis

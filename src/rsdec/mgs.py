@@ -17,13 +17,16 @@ the F[x]-module spanned by the G y^t (t < s) and (y - R)^s, with R
 interpolating r and G = prod (x - alpha_j); reduced mod G the last
 generator is y^s + sum_t D_t R_t y^t. `solution_module` builds these
 rows for any block scalars c in place of D, and `weak_popov` reduces them
-(Mulders and Storjohann, on packed ints) under the shifts t(k-1) that
-turn the caps into one degree bound: `reduced_module`.
+(Mulders and Storjohann, each row one packed int whose top slot is its
+leading position, slots kept below (q-1)^2 + q) under the shifts t(k-1)
+that turn the caps into one degree bound: `reduced_module`.
 `interpolation_decode` spans the reduced rows within the caps over the
 top two blocks only (`outcome.capped_span`), both at most n wide, picks
 the lowest-degree locator (`outcome.select_stack`), splits Q^(s-1) =
 c_(s-1) Lambda f with `bivariate.extract_power_factor`, which says why
 the lower blocks need no check, and accepts through `outcome.conclude`.
+`conclude` finds the error positions with one lookup in the code's
+evaluation table (`CodeSpec.positions_of_roots`).
 It is the package's only decode: mgs passes c = D(s), virs all ones
 (A's stacks) and wb D(1) on its own caps. The dense B-bar, GS's Hasse
 rows of orders (0, b) (`gs.hasse_rows`), serves `rsdec equiv`,
@@ -109,38 +112,44 @@ def weak_popov(rows, shifts, field) -> list[int]:
     """Mulders-Storjohann, in place, column t shifted by shifts[t]: while
     two rows share a leading position (rightmost column of top shifted
     degree), the higher loses its leading term to c x^d times the other.
-    Returns the shifted degrees of the rows, now in weak Popov form. A
-    step is a + (q - c) x^d b on `pack`ed components, then one
+    Returns the shifted degrees of the rows, now in weak Popov form.
+
+    A row is one int: coefficient i of column t sits in slot
+    (i + shifts[t] - min(shifts)) (s + 1) + t of W bits, s + 1 columns.
+    Slots then rise with the shifted degree, ties broken by the column, so
+    the top nonzero slot is the leading position, read by one
+    `bit_length`. A step is a + (q - c) (b << d (s + 1) W), then one
     `poly.slot_reduction`: a slot starts below q and the step adds at most
     (q - 1)^2 to it, so it stays below (q - 1)^2 + q."""
-    width, kappa, reduce = slot_reduction(field.q, (field.q - 1) ** 2 + field.q)
-    packed = [[pack(p, width) for p in row] for row in rows]
-
-    def lead(row):
-        return max(((v.bit_length() - 1) // width + sh, t) for t, (v, sh) in enumerate(zip(row, shifts)) if v)
-
-    leads = [lead(row) for row in packed]
-    # no component outgrows the top shifted degree its row starts with
-    high = pack([(1 << width) - (1 << kappa)] * (max(leads)[0] - min(shifts) + 1), width)
+    q, m, low = field.q, len(shifts), min(shifts)
+    width, kappa, reduce = slot_reduction(q, (q - 1) ** 2 + q)
+    offsets = [(sh - low) * m + t for t, sh in enumerate(shifts)]
+    packed = [sum(pack(p, m * width) << at * width for p, at in zip(row, offsets)) for row in rows]
+    tops = [(v.bit_length() - 1) // width for v in packed]
+    # no row outgrows the top slot it starts with
+    high = pack([(1 << width) - (1 << kappa)] * (max(tops) + 1), width)
     owner = {}
     todo = list(range(len(rows)))
     while todo:
         i = todo.pop()
-        pos = leads[i][1]
-        j = owner.setdefault(pos, i)
+        j = owner.setdefault(tops[i] % m, i)
         if j == i:
             continue
-        if leads[j][0] > leads[i][0]:
-            owner[pos] = i
+        if tops[j] > tops[i]:
+            owner[tops[i] % m] = i
             i, j = j, i
-        d, top = (leads[i][0] - leads[j][0]) * width, (leads[j][0] - shifts[pos]) * width
-        c = -(packed[i][pos] >> d + top) * field.inv(packed[j][pos] >> top) % field.q
-        packed[i] = [reduce(a + c * (b << d), high) if b else a for a, b in zip(packed[i], packed[j])]
-        leads[i] = lead(packed[i])
+        c = -(packed[i] >> tops[i] * width) * field.inv(packed[j] >> tops[j] * width) % q
+        packed[i] = reduce(packed[i] + c * (packed[j] << (tops[i] - tops[j]) * width), high)
+        tops[i] = (packed[i].bit_length() - 1) // width
         todo.append(i)
-    for row, prow in zip(rows, packed):
-        row[:] = [unpack(v, width) for v in prow]
-    return [deg for deg, _ in leads]
+    mask = (1 << width) - 1
+    for row, v in zip(rows, packed):
+        row[:] = [[c & mask for c in unpack(v >> at * width, m * width)] for at in offsets]
+        for p in row:
+            while p and not p[-1]:
+                p.pop()
+    return [top // m + low for top in tops]
+
 
 def reduced_module(spec: CodeSpec, r: Word, scalars):
     """`solution_module`'s rows in weak Popov form under the shifts t(k-1)

@@ -301,13 +301,13 @@ def test_equiv_command(tmp_path, capsys):
 
 def test_equiv_eliminates_each_system_once(tmp_path, capsys, monkeypatch):
     calls = []
-    original = rsdec.linalg._rref_ints
+    original = rsdec.linalg._eliminate
 
     def counting(rows, q):
         calls.append(q)
         return original(rows, q)
 
-    monkeypatch.setattr(rsdec.linalg, "_rref_ints", counting)
+    monkeypatch.setattr(rsdec.linalg, "_eliminate", counting)
     path = write_received(tmp_path)
     code, stdout, _ = run(capsys, "equiv", "--in", path, "--k", "4", "--alpha", "3", "--s", "2")
     assert (code, stdout) == (0, "equivalent: true\nnullspace_dim: 1\n")

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from rsdec import (
     wb_decode,
 )
 from rsdec.code import default_locators, interpolate_word, random_error
+from rsdec.poly import locator_poly
 
 F7 = Field(7)
 
@@ -170,23 +172,66 @@ def test_default_locators_need_enough_points():
 
 def test_interpolation_table_is_built_on_first_decode_once(monkeypatch):
     # the benchmark's set-up (CodeSpec, encode, random_error, corrupt)
-    # stays cold; the first decode builds the code's table and every later
-    # decode, by any decoder, reuses it
+    # stays cold; the first decode builds the code's tables, interpolation
+    # and evaluation, and every later decode, by any decoder, reuses them
     built = []
-    original = rsdec.poly.Interpolator.__init__
+    for table in (rsdec.poly.Interpolator, rsdec.poly.Evaluator):
 
-    def recording(self, G, xs):
-        built.append(tuple(xs))
-        original(self, G, xs)
+        def recording(self, points, xs, table=table, original=table.__init__):
+            built.append((table.__name__, tuple(xs)))
+            original(self, points, xs)
 
-    monkeypatch.setattr(rsdec.poly.Interpolator, "__init__", recording)
+        monkeypatch.setattr(table, "__init__", recording)
     spec = CodeSpec(Field(17), 16, 4)
     words = [
         corrupt(encode(spec, UniPoly.from_ints(spec.field, [seed, 1, 2, 3])), random_error(spec, 6, seed))
         for seed in range(3)
     ]
-    assert built == [] and "interpolator" not in vars(spec)
+    assert built == [] and "interpolator" not in vars(spec) and "evaluator" not in vars(spec)
     for r in words:
         for out in (wb_decode(spec, r), virs_decode(spec, r, 2), mgs_decode(spec, r, 2)):
             assert out.success
-    assert built == [spec.locators]
+    assert sorted(built) == [("Evaluator", spec.locators), ("Interpolator", spec.locators)]
+
+
+def horner_roots(spec, p):
+    """Indices i with p(locators[i]) = 0, one Horner evaluation each."""
+    return tuple(i for i, a in enumerate(spec.locators) if p.evaluate(a) == 0)
+
+
+@pytest.mark.parametrize("q,n,locators", [
+    (2, 1, ()),
+    (17, 16, ()),
+    (17, 8, (1, 2, 4, 8, 16, 15, 13, 9)),
+    (257, 128, ()),
+    (257, 20, tuple(range(237, 257))),
+    (65521, 40, ()),
+    (65521, 6, (65520, 1, 2, 65519, 3, 32768)),
+])
+def test_positions_of_roots_matches_horner(q, n, locators):
+    # the zero polynomial, every degree below n, degrees n and above (reduced
+    # mod G first), and products of locators, which have roots to find
+    F = Field(q)
+    spec = CodeSpec(F, n, 1, locators)
+    rng = random.Random(q * n)
+    polys = [UniPoly.zero(F)]
+    for degree in [*range(n), n, n + 1, 2 * n + 3]:
+        polys.append(UniPoly.from_ints(F, [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]))
+    for size in {1, n // 2, n}:
+        roots = locator_poly(F, rng.sample(spec.locators, size))
+        polys += [roots, roots * UniPoly.from_ints(F, [rng.randrange(q) for _ in range(n)] + [1])]
+    for p in polys:
+        assert spec.positions_of_roots(p) == horner_roots(spec, p)
+    assert spec.positions_of_roots(UniPoly.zero(F)) == tuple(range(n))
+    assert spec.positions_of_roots(spec.vanishing) == tuple(range(n))
+
+
+def test_an_evaluation_slot_reaches_its_bound():
+    # the table's slots hold sum_e p_e x^e below n (q-1)^2 + 1; over GF(2)
+    # with n = 1, p = 1 reaches n (q-1)^2 = 1, and its one locator is no root
+    F = Field(2)
+    spec = CodeSpec(F, 1, 1)
+    p = UniPoly.one(F)
+    assert sum(c * spec.locators[0] ** e for e, c in enumerate(p.coeffs)) == spec.n * (F.q - 1) ** 2
+    assert spec.positions_of_roots(p) == horner_roots(spec, p) == ()
+    assert spec.positions_of_roots(UniPoly.from_ints(F, [1, 1])) == (0,)

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gf17_example as ex
+from matvec import mulvec
 from rsdec import (
     CodeSpec,
     Field,
@@ -76,7 +77,7 @@ def test_scaled_matrix_identity():
     B = build_B(spec, r, 2, 7)
     D = scaling_map(2, F17)
     vec = [pow(3, i, 17) for i in range(33)]
-    assert Bbar.mulvec(_scale(17, vec, D, ex.WIDTHS)) == B.mulvec(vec)
+    assert mulvec(Bbar, _scale(17, vec, D, ex.WIDTHS)) == mulvec(B, vec)
 
 
 def test_nullspace_equivalence_worked_example():
@@ -179,10 +180,10 @@ def membership_equivalent(A, Bbar, D, widths, basis_a, basis_b):
     q = A.field.q
     if len(basis_a) != len(basis_b):
         return False
-    if any(any(Bbar.mulvec(_scale(q, v, D, widths))) for v in basis_a):
+    if any(any(mulvec(Bbar, _scale(q, v, D, widths))) for v in basis_a):
         return False
     inverse = tuple(A.field.inv(c) for c in D)
-    return not any(any(A.mulvec(_scale(q, w, inverse, widths))) for w in basis_b)
+    return not any(any(mulvec(A, _scale(q, w, inverse, widths))) for w in basis_b)
 
 
 @pytest.mark.parametrize("q,n,k,s,weights", [

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import gf17_example as ex
+from matvec import mulvec
 from rsdec import CodeSpec, Field, UniPoly, Word, corrupt, encode, wb_radius
 from rsdec.bivariate import BiPoly, hasse_mixed, substitute_y
 from rsdec.code import random_error
@@ -195,7 +196,7 @@ def test_hasse_rows_match_shift_oracle(q, n, k, s):
         widths = [rng.randrange(9) for _ in range(rng.randint(1, s + 2))] + [0, rng.randrange(1, 9)]
         vec = [rng.randrange(q) for _ in range(sum(widths))]
         Q = BiPoly(F, split_blocks(F, vec, widths))
-        got = iter(hasse_rows(spec, r, widths, orders).mulvec(vec))
+        got = iter(mulvec(hasse_rows(spec, r, widths, orders), vec))
         for a, b in orders:
             for x0, y0 in zip(spec.locators, r.symbols):
                 assert next(got) == hasse_mixed(Q, a, b, x0, y0)

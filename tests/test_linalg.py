@@ -8,6 +8,7 @@ import rsdec.linalg
 from rsdec import Field, nullspace
 from rsdec.linalg import Mat, _rref_ints
 from rsdec.poly import slot_reduction, unpack
+from matvec import mulvec
 
 F5 = Field(5)
 F3 = Field(3)
@@ -91,7 +92,7 @@ def test_rref_is_idempotent():
 def test_nullspace_vectors_annihilate():
     mat = Mat(F5, [[1, 2, 3, 4], [0, 1, 1, 0]])
     for vec in nullspace(mat):
-        assert all(x == 0 for x in mat.mulvec(vec))
+        assert all(x == 0 for x in mulvec(mat, vec))
 
 
 def test_nullspace_canonical_free_variable_pattern():
@@ -124,12 +125,12 @@ def test_mat_validation_and_accessors():
     mat = Mat(F5, [[7, -1]])
     assert mat.rows == ((2, 4),)
     with pytest.raises(ValueError):
-        mat.mulvec([1])
+        mulvec(mat, [1])
 
 
 def test_mulvec():
     mat = Mat(F5, [[1, 2], [3, 4]])
-    assert mat.mulvec([1, 1]) == [3, 2]
+    assert mulvec(mat, [1, 1]) == [3, 2]
 
 
 def reference_rref(rows, q):
@@ -167,8 +168,9 @@ def reference_rref(rows, q):
 
 
 def watch_slots(monkeypatch):
-    """Record every slot `_rref_ints` hands to its reduction, which is each
-    slot's largest value: slots only grow between reductions."""
+    """Record every slot the elimination hands to its reduction, and every
+    slot of the rows it returns unreduced: between them each slot's
+    largest value, as slots only grow between reductions."""
     seen = []
 
     def watched(q, largest):
@@ -180,7 +182,15 @@ def watch_slots(monkeypatch):
 
         return width, kappa, recording
 
+    def eliminate(rows, q):
+        work, pivots, width = original(rows, q)
+        for row in work:
+            seen.extend(unpack(row, width))
+        return work, pivots, width
+
+    original = rsdec.linalg._eliminate
     monkeypatch.setattr(rsdec.linalg, "slot_reduction", watched)
+    monkeypatch.setattr(rsdec.linalg, "_eliminate", eliminate)
     return seen
 
 
@@ -218,6 +228,16 @@ def test_packed_rref_matches_the_list_reduction(q, data):
         assert _rref_ints(rows, q) == expect
     steps = min(len(rows), len(rows[0]) if rows else 0)
     assert max(seen, default=0) <= q - 1 + steps * (q - 1) ** 2
+    if rows:
+        # nullspace reads the unreduced slots itself: the canonical basis
+        # of the reference RREF
+        reduced, pivots = expect
+        free = [j for j in range(len(rows[0])) if j not in pivots]
+        basis = [[int(i == j) for i in range(len(rows[0]))] for j in free]
+        for v, j in zip(basis, free):
+            for r, pc in enumerate(pivots):
+                v[pc] = -reduced[r][j] % q
+        assert nullspace(Mat(Field(q), rows)) == basis
 
 
 @pytest.mark.parametrize("q,m", [(2, 6), (5, 7), (65521, 2)])

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gf17_example as ex
+from matvec import mulvec
 import rsdec.linalg
 import rsdec.mgs
 from rsdec import (
@@ -166,6 +167,22 @@ def test_decode_matches_reference_extraction(f_coeffs, wt, seed):
     if out.success:
         assert (out.locator, out.f) == (ref.locator, ref.f)
     assert out.kernel_dim == len(nullspace(build_Bbar(spec, r, 2, tau).matrix))
+
+
+def test_conclude_accepts_up_to_the_radius_and_no_further():
+    # the acceptance gate alone, on the worked example's message: its
+    # codeword at distance tau from r is accepted with the locator's roots
+    # as the error positions, and at distance tau + 1 refused
+    spec, f, c, _ = ex.instance()
+    for wt in (ex.TAU, ex.TAU + 1):
+        e = random_error(spec, wt, wt)
+        support = tuple(i for i, v in enumerate(e) if v)
+        locator = locator_poly(F17, [spec.locators[i] for i in support])
+        out = conclude(spec, corrupt(c, e), ex.TAU, locator * 3, f, 1)
+        if wt == ex.TAU:
+            assert (out.success, out.corrected, out.locator, out.error_positions) == (True, c, locator, support)
+        else:
+            assert (out.success, out.reason) == (False, f"corrected word at distance {wt} > radius {ex.TAU}")
 
 
 def test_decode_worked_example():
@@ -378,7 +395,7 @@ def test_interpolation_kernel_spans_the_dense_kernel(case):
     ):
         kernel = full_span(spec, r, scaling_map(len(widths) - 1, spec.field), widths)
         assert len(kernel) == len(nullspace(system))
-        assert all(not any(system.mulvec(v)) for v in kernel)
+        assert all(not any(mulvec(system, v)) for v in kernel)
         # linearly independent, so the span is all of the dense kernel
         assert not kernel or len(nullspace(rsdec.linalg.Mat(spec.field, kernel))) == system.ncols - len(kernel)
 
@@ -438,7 +455,7 @@ def test_wide_block_is_reduced_to_the_canonical_vector():
     detour = [p.coeffs + (0,) * (width - len(p.coeffs)) for p, width in zip(canonical, widths)]
     detour[0] = [(a + g) % 17 for a, g in zip(detour[0], spec.vanishing.coeffs)]
     detour = [c for block in detour for c in block]
-    assert not any(build_Bbar(spec, r, 3, tau).matrix.mulvec(detour))
+    assert not any(mulvec(build_Bbar(spec, r, 3, tau).matrix, detour))
     assert select_stack(F, [detour], widths)[0].degree == 15
     assert select_stack(F, [detour], widths)[-2:] == canonical[-2:]
     assert canonical_stack(spec, [detour], widths) == canonical
@@ -508,13 +525,13 @@ def test_decode_eliminates_nothing(monkeypatch):
     # RS(64,8), s=2: B-bar and A would be 128 x 129 eliminations, and wb's
     # system, B-bar at s = 1, a 64 x 65 one
     calls = []
-    original = rsdec.linalg._rref_ints
+    original = rsdec.linalg._eliminate
 
     def recording(rows, q):
         calls.append((len(rows), len(rows[0])))
         return original(rows, q)
 
-    monkeypatch.setattr(rsdec.linalg, "_rref_ints", recording)
+    monkeypatch.setattr(rsdec.linalg, "_eliminate", recording)
     F = Field(257)
     spec = CodeSpec(F, 64, 8)
     f = UniPoly.from_ints(F, range(1, 9))
@@ -626,6 +643,7 @@ def reference_weak_popov(rows, shifts, field):
     (13, 6, 6, 1, (0, 1, 2)),  # k = n
     (257, 64, 8, 2, (20, 28)),
     (65521, 40, 4, 2, (0, 18, 23)),  # the top of Field's range: the widest slots
+    (257, 128, 8, 3, (60, 84)),  # decode-rs128's code: tau_0 and tau
 ])
 def test_packed_weak_popov_matches_the_list_reduction(q, n, k, s, weights):
     F = Field(q)
@@ -652,7 +670,7 @@ def reduced_in_every_slot(q, values):
     return reduce(pack(values, width), high) == pack([v % q for v in values], width)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 17, 257])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 17, 23, 257])
 def test_slot_reduction_is_exact_on_every_slot_value(q):
     # a reduction step leaves each slot in [0, (q-1)^2 + q); every such
     # value, in ints of at most 4096 slots, each chunk's last in its top slot

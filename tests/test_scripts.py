@@ -2,6 +2,7 @@
 example, run against the package."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -86,3 +87,20 @@ def test_script_runs(name, args):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_every_mutant_snippet_occurs_once(monkeypatch):
+    # scripts/mutants.py cannot rot silently: each snippet still marks
+    # exactly one place in its file and each test it names still exists.
+    # No mutant runs here
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "mutants", mutants)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert mutants.occurrences(m) == 1, m.name
+        assert m.tests, m.name
+        for test in m.tests:
+            path, name = test.split("::")
+            assert f"def {name.split('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8"), test
