@@ -51,6 +51,7 @@ DENSE = "tests/test_keyeq.py::test_decoders_match_the_dense_pipeline"
 CSV = "tests/test_montecarlo.py::test_reference_sweep_csv_is_pinned[1]"
 DIGEST = "tests/test_scripts.py::test_outcome_digest_is_pinned"
 KAPPA = "kappa = top + (q - 1).bit_length()"
+SHORT_ROWS = "tests/test_mgs.py::test_short_rows_select_what_the_full_span_selects"
 
 # Each mutant's tests are a few fast ones that kill it, not every test
 # that would; a mutant that makes a reduction loop forever must name
@@ -92,22 +93,35 @@ MUTANTS = (
         "reduce = slot_reduction(q, (q - 1) ** 2 + q)\n    width -= 1\n",
         (f"{WEAK_POPOV}[17-16-4-2-weights0]", CSV),
     ),
-    Mutant("span-bottom-two-blocks", OUTCOME, "b[-len(widths):]", "b[:len(widths)]", (DENSE, CSV, DIGEST)),
-    Mutant("span-three-blocks", OUTCOME, "b[-len(widths):]", "b[-len(widths) - 1:]", (DENSE, CSV)),
-    # the root search in `conclude`; x^(e+1) in column e would only scale
-    # every value by its nonzero locator, and find the same roots
+    # the decode's read of the reduced module: the short rows' top two
+    # columns. `capped_span` no longer slices the top blocks out of a full
+    # row (it is handed the blocks it lays out), so the two span-* mutants
+    # of that slice are gone with it; these read the wrong columns instead
+    Mutant("read-columns-one-below-the-top", MGS, "(s - 1, s)", "(s - 2, s - 1)", (DENSE, CSV, DIGEST)),
+    Mutant("read-bottom-two-columns", MGS, "(s - 1, s)", "(0, 1)", (DENSE, CSV)),
+    Mutant("kernel-dim-counts-i-up-to-the-bound", MGS, "sum(bound - d for", "sum(bound - d + 1 for", (DENSE, SHORT_ROWS)),
+    Mutant("short-rows-up-to-the-bound", MGS, "if d < bound]", "if d <= bound]", (SHORT_ROWS, DIGEST)),
+    Mutant("shortcut-skips-the-monic-scaling", OUTCOME, "[c * inv for c in p]", "list(p)", (SHORT_ROWS,)),
+    Mutant("shortcut-with-several-locators", OUTCOME, "if len(tops) == 1:", "if tops:", (SHORT_ROWS, DIGEST)),
+    # the evaluation table, which `conclude` re-encodes f and finds the
+    # error positions with
     Mutant(
         "evaluation-exponents-one-short", POLY, "for _ in range(n):\n            self.columns", "for _ in range(n - 1):\n            self.columns",
-        (f"{HORNER}[17-16-locators1]", f"{HORNER}[257-128-locators3]"),
+        (f"{HORNER}[17-16-locators1]", f"{HORNER}[257-128-locators3]",
+         "tests/test_mgs.py::test_conclude_reencodes_through_the_evaluation_table[65521-40-4]"),
     ),
     # the north-star invariants
     Mutant(
         "conclude-accepts-radius-plus-1", OUTCOME, "if distance > tau:", "if distance > tau + 1:",
         ("tests/test_mgs.py::test_conclude_accepts_up_to_the_radius_and_no_further",),
     ),
+    # an error-free word has one short row with a locator, so its decode
+    # never reaches `lowest_locator`; the weight-3 words of RS(7,2) s=3
+    # with two such rows do
     Mutant(
         "select-highest-degree", OUTCOME, "by_degree[min(by_degree)]", "by_degree[max(by_degree)]",
-        ("tests/test_mgs.py::test_select_stack_does_not_depend_on_the_basis", "tests/test_virs.py::test_decode_no_errors", DIGEST),
+        ("tests/test_mgs.py::test_select_stack_does_not_depend_on_the_basis",
+         "tests/test_virs.py::test_ambiguous_weight3_words_fail_alike", DIGEST),
     ),
     Mutant(
         "scaling-map-sign-flipped", BIVARIATE, "(-1) ** (s - t) * binom_mod", "(-1) ** (s - t + 1) * binom_mod",

@@ -60,13 +60,14 @@ class CodeSpec:
 
     @cached_property
     def evaluator(self) -> Evaluator:
-        """Evaluation at the code locators, built on first use."""
+        """Evaluation at the code locators, built on first use: by a code's
+        first `outcome.conclude`, accepted or not, never by `encode`."""
         return Evaluator(self.field, self.locators)
 
     def positions_of_roots(self, p: UniPoly) -> tuple[int, ...]:
         """Indices i with p(locators[i]) = 0, read off one `evaluator`
-        lookup; p of degree n or more is first reduced mod G, which
-        vanishes on every locator."""
+        lookup, the table `conclude` re-encodes with; p of degree n or more
+        is first reduced mod G, which vanishes on every locator."""
         if p.degree >= self.n:
             p = poly_divrem(p, self.vanishing)[1]
         return tuple(i for i, v in enumerate(self.evaluator(p.coeffs)) if not v)

@@ -19,14 +19,17 @@ generator is y^s + sum_t D_t R_t y^t. `solution_module` builds these
 rows for any block scalars c in place of D, and `weak_popov` reduces them
 (Mulders and Storjohann, each row one packed int whose top slot is its
 leading position, slots kept below (q-1)^2 + q) under the shifts t(k-1)
-that turn the caps into one degree bound: `reduced_module`.
-`interpolation_decode` spans the reduced rows within the caps over the
-top two blocks only (`outcome.capped_span`), both at most n wide, picks
-the lowest-degree locator (`outcome.select_stack`), splits Q^(s-1) =
-c_(s-1) Lambda f with `bivariate.extract_power_factor`, which says why
-the lower blocks need no check, and accepts through `outcome.conclude`.
-`conclude` finds the error positions with one lookup in the code's
-evaluation table (`CodeSpec.positions_of_roots`).
+that turn the caps into one degree bound: `reduced_module`. The rows stay
+packed (`PackedModule`). The short rows, of shifted degree below the
+width w_0 of block 0, span the solutions within the caps, so their
+degrees give the kernel dimension, sum (w_0 - d_b), and
+`interpolation_decode` unpacks only their top two columns, both at most n
+wide. It picks the lowest-degree locator in their span
+(`outcome.select_stack`), splits Q^(s-1) = c_(s-1) Lambda f with
+`bivariate.extract_power_factor`, which says why the lower blocks need no
+check, and accepts through `outcome.conclude`, which re-encodes f and
+finds the error positions in the code's evaluation table
+(`CodeSpec.evaluator`).
 It is the package's only decode: mgs passes c = D(s), virs all ones
 (A's stacks) and wb D(1) on its own caps. The dense B-bar, GS's Hasse
 rows of orders (0, b) (`gs.hasse_rows`), serves `rsdec equiv`,
@@ -47,7 +50,7 @@ from .bivariate import FactorError, extract_power_factor, scaling_map
 from .code import CodeSpec, Word
 from .gs import hasse_rows
 from .linalg import Mat
-from .outcome import DecodeOutcome, capped_span, conclude, select_stack
+from .outcome import DecodeOutcome, conclude, select_stack
 from .poly import pack, slot_reduction, unpack
 
 
@@ -108,11 +111,34 @@ def solution_module(spec: CodeSpec, r: Word, scalars) -> list[list[list[int]]]:
     return [[list(G) if t == i else [] for t in range(s + 1)] for i in range(s)] + [last]
 
 
-def weak_popov(rows, shifts, field) -> list[int]:
-    """Mulders-Storjohann, in place, column t shifted by shifts[t]: while
-    two rows share a leading position (rightmost column of top shifted
-    degree), the higher loses its leading term to c x^d times the other.
-    Returns the shifted degrees of the rows, now in weak Popov form.
+@dataclass(frozen=True)
+class PackedModule:
+    """Rows as `weak_popov` leaves them: coefficient i of column t of row b
+    in slot i m + offsets[t] of rows[b], `width` bits a slot, m columns;
+    degrees[b] is the row's shifted degree."""
+
+    rows: list[int]
+    degrees: list[int]
+    width: int
+    offsets: tuple[int, ...]
+
+    def columns(self, b: int, ts) -> list[list[int]]:
+        """Columns ts of row b, each a coefficient list, ascending and stripped."""
+        m, width = len(self.offsets), self.width
+        mask, out = (1 << width) - 1, []
+        for t in ts:
+            p = [c & mask for c in unpack(self.rows[b] >> self.offsets[t] * width, m * width)]
+            while p and not p[-1]:
+                p.pop()
+            out.append(p)
+        return out
+
+
+def weak_popov(rows, shifts, field) -> PackedModule:
+    """Mulders-Storjohann, column t shifted by shifts[t]: while two rows
+    share a leading position (rightmost column of top shifted degree), the
+    higher loses its leading term to c x^d times the other. Returns the
+    rows, now in weak Popov form, still packed, and their shifted degrees.
 
     A row is one int: coefficient i of column t sits in slot
     (i + shifts[t] - min(shifts)) (s + 1) + t of W bits, s + 1 columns.
@@ -123,7 +149,7 @@ def weak_popov(rows, shifts, field) -> list[int]:
     (q - 1)^2 to it, so it stays below (q - 1)^2 + q."""
     q, m, low = field.q, len(shifts), min(shifts)
     width, kappa, reduce = slot_reduction(q, (q - 1) ** 2 + q)
-    offsets = [(sh - low) * m + t for t, sh in enumerate(shifts)]
+    offsets = tuple((sh - low) * m + t for t, sh in enumerate(shifts))
     packed = [sum(pack(p, m * width) << at * width for p, at in zip(row, offsets)) for row in rows]
     tops = [(v.bit_length() - 1) // width for v in packed]
     # no row outgrows the top slot it starts with
@@ -142,33 +168,33 @@ def weak_popov(rows, shifts, field) -> list[int]:
         packed[i] = reduce(packed[i] + c * (packed[j] << (tops[i] - tops[j]) * width), high)
         tops[i] = (packed[i].bit_length() - 1) // width
         todo.append(i)
-    mask = (1 << width) - 1
-    for row, v in zip(rows, packed):
-        row[:] = [[c & mask for c in unpack(v >> at * width, m * width)] for at in offsets]
-        for p in row:
-            while p and not p[-1]:
-                p.pop()
-    return [top // m + low for top in tops]
+    return PackedModule(packed, [top // m + low for top in tops], width, offsets)
 
 
-def reduced_module(spec: CodeSpec, r: Word, scalars):
+def reduced_module(spec: CodeSpec, r: Word, scalars) -> PackedModule:
     """`solution_module`'s rows in weak Popov form under the shifts t(k-1)
-    that turn the caps into one degree bound, and their shifted degrees."""
+    that turn the caps into one degree bound."""
     rows = solution_module(spec, r, scalars)
-    return rows, weak_popov(rows, [t * (spec.k - 1) for t in range(len(rows))], spec.field)
+    return weak_popov(rows, [t * (spec.k - 1) for t in range(len(rows))], spec.field)
 
 
 def interpolation_decode(spec: CodeSpec, r: Word, tau: int, widths, scalars) -> DecodeOutcome:
-    """Decode on the module with block scalars `scalars`: its span within
-    `widths` over the top two blocks, `select_stack`, then the split
+    """Decode on the module with block scalars `scalars`: its rows of
+    shifted degree below w_0 = widths[0], the short rows, span the
+    solutions within `widths`, kernel_dim = sum (w_0 - d_b) of them;
+    `select_stack` on their top two columns, then the split
     Q^(s-1) = scalars[s-1] Lambda f, accepted within radius tau."""
-    rows, degrees = reduced_module(spec, r, scalars)
-    kernel = capped_span(rows, degrees, widths[0], widths[-2:])
+    module = reduced_module(spec, r, scalars)
+    bound, s = widths[0], len(widths) - 1
+    short = [b for b, d in enumerate(module.degrees) if d < bound]
+    degrees = [module.degrees[b] for b in short]
+    kernel_dim = sum(bound - d for d in degrees)
     try:
-        locator, f = extract_power_factor(select_stack(spec.field, kernel, widths[-2:]), scalars, spec.k)
+        stack = select_stack(spec.field, [module.columns(b, (s - 1, s)) for b in short], degrees, bound, widths[-2:])
+        locator, f = extract_power_factor(stack, scalars, spec.k)
     except FactorError as err:
-        return DecodeOutcome.failure(str(err), len(kernel))
-    return conclude(spec, r, tau, locator, f, len(kernel))
+        return DecodeOutcome.failure(str(err), kernel_dim)
+    return conclude(spec, r, tau, locator, f, kernel_dim)
 
 
 def mgs_decode(spec: CodeSpec, r: Word, s: int) -> DecodeOutcome:

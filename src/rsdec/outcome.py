@@ -1,15 +1,18 @@
 """Decoder result type and the stages shared by every decoder.
 
 Every decoder is `mgs.interpolation_decode`: reduce a basis of its
-solution module, span it within the caps over the top two blocks
-(`capped_span`), pick the vector with the lowest-degree locator
-(`select_stack`), split it into (Lambda, f) with
-`bivariate.extract_power_factor`, and accept through `conclude`. The
-decoders differ only in their caps and in the block scalars c of the
-module's last generator and of a decodable stack Q^(t) = c_t Lambda
-f^(s-t): ones for virs, D(s) for mgs and D(1) for wb. `select_stack`
-depends on the space only, not on the basis it is given: the locator is
-the unique monic top block of lowest degree.
+solution module, keep its short rows (shifted degree below the width of
+block 0), which span the solutions within the caps, read their top two
+blocks only, pick the stack with the lowest-degree locator
+(`select_stack`, laying the span out flat with `capped_span` only when
+more than one short row has a nonzero locator), split it into
+(Lambda, f) with `bivariate.extract_power_factor`, and accept through
+`conclude`. The decoders differ only in their caps and in the block
+scalars c of the module's last generator and of a decodable stack
+Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs and D(1) for
+wb. The selected stack depends on the space only, not on the basis it
+is given (`lowest_locator`): the locator is the unique monic top block
+of lowest degree.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivariate import FactorError
-from .code import CodeSpec, Word, encode
+from .code import CodeSpec, Word
 from .field import Field
 from .poly import UniPoly, split_blocks
 
@@ -40,7 +43,25 @@ class DecodeOutcome:
         return self.success
 
 
-def select_stack(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
+def select_stack(field: Field, rows, degrees, bound, widths) -> tuple[UniPoly, ...]:
+    """The stack with the lowest-degree locator in the span of the x^i b,
+    degrees[b] + i < bound, its blocks scaled to make the locator monic.
+
+    `rows` are the short rows of a reduced module basis (degrees below
+    `bound`), each given as the blocks `widths` lays out, the top one
+    last. When exactly one has a nonzero top block, every other x^i b has
+    a zero locator and the x^i b of that row have locators of degree
+    deg + i, so the answer is the row itself. Otherwise the span is
+    laid out flat (`capped_span`) and reduced by `lowest_locator`.
+    """
+    tops = [b for b in rows if b[-1]]
+    if len(tops) == 1:
+        inv = field.inv(tops[0][-1][-1])
+        return tuple(UniPoly(field, [c * inv for c in p]) for p in tops[0])
+    return lowest_locator(field, capped_span(rows, degrees, bound, widths), widths)
+
+
+def lowest_locator(field: Field, kernel, widths) -> tuple[UniPoly, ...]:
     """Blocks of the kernel vector whose top block has the lowest degree,
     scaled to make that block monic; FactorError("shape") when every top
     block is zero.
@@ -77,10 +98,10 @@ def capped_span(basis, degrees, bound, widths) -> list[list[int]]:
     """Flat vectors x^i b for each row b of a reduced module basis and each
     i with degrees[b] + i <= bound - 1: by the predictable-degree
     property, with bound = w_0 the width of block 0, a basis of the
-    module's elements within the caps. Each vector lays out the top
-    len(widths) blocks of b, widths[-1] being the top block's."""
+    module's elements within the caps. Each row is given as the blocks
+    `widths` lays out, stripped coefficient lists."""
     return [
-        [v for p, width in zip(b[-len(widths):], widths) for v in [0] * i + p + [0] * (width - i - len(p))]
+        [v for p, width in zip(b, widths) for v in [0] * i + p + [0] * (width - i - len(p))]
         for b, d in zip(basis, degrees)
         for i in range(bound - d)
     ]
@@ -92,12 +113,16 @@ def conclude(
     """Final acceptance gate shared by all decoders.
 
     Given a candidate (locator, message) pair, deg f < k (as
-    `extract_power_factor` guarantees; `encode` raises otherwise), accept
-    only if the re-encoded codeword lies within distance tau of the
-    received word. A decoder never reports a codeword farther than its
-    radius. `kernel_dim` is passed through to the outcome.
+    `extract_power_factor` guarantees), accept only if the re-encoded
+    codeword lies within distance tau of the received word. A decoder
+    never reports a codeword farther than its radius. The codeword and
+    the error positions are both read off the code's evaluation table
+    (`CodeSpec.evaluator`), which the first call builds. `kernel_dim` is
+    passed through to the outcome.
     """
-    c = encode(spec, f)
+    if f.degree >= spec.k:
+        raise ValueError(f"message degree {f.degree} >= dimension {spec.k}")
+    c = Word(spec.field, spec.evaluator(f.coeffs))
     distance = sum(a != b for a, b in zip(r.symbols, c.symbols))
     if distance > tau:
         return DecodeOutcome.failure(f"corrected word at distance {distance} > radius {tau}", kernel_dim)

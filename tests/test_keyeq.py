@@ -25,7 +25,7 @@ from rsdec.bivariate import FactorError, extract_power_factor
 from rsdec.code import random_error
 from rsdec.linalg import Mat
 from rsdec.mgs import block_widths, reduced_module, solution_module, weak_popov
-from rsdec.outcome import DecodeOutcome, capped_span, conclude, select_stack
+from rsdec.outcome import DecodeOutcome, capped_span, conclude, lowest_locator
 from rsdec.wb import wb_build
 from test_linalg import rank
 
@@ -55,7 +55,7 @@ def dense_virs(spec, r, s):
     tau = virs_radius(spec.n, spec.k, s)
     kernel = nullspace(build_A(spec, r, s, tau))
     try:
-        stack = select_stack(spec.field, kernel, block_widths(spec.k, s, tau))
+        stack = lowest_locator(spec.field, kernel, block_widths(spec.k, s, tau))
         locator, f = extract_power_factor(stack, (1,) * (s + 1), spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
@@ -66,7 +66,7 @@ def dense_wb(spec, r):
     tau0 = wb_radius(spec.n, spec.k)
     kernel = nullspace(wb_build(spec, r))
     try:
-        stack = select_stack(spec.field, kernel, (spec.n - tau0, spec.n - tau0 - spec.k + 1))
+        stack = lowest_locator(spec.field, kernel, (spec.n - tau0, spec.n - tau0 - spec.k + 1))
         locator, f = extract_power_factor(stack, scaling_map(1, spec.field), spec.k)
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel))
@@ -77,12 +77,18 @@ def summary(out):
     return (out.success, out.f, out.locator, out.reason, out.kernel_dim, out.error_positions)
 
 
+def full_rows(module):
+    """Every column of every row of a packed module, through the reader
+    the decode uses for the short rows' top two."""
+    return [module.columns(b, range(len(module.offsets))) for b in range(len(module.rows))]
+
+
 def module_span(spec, r, s):
     """The F-basis of A's kernel whose top two blocks virs_decode reads off
     the reduced module, with every block laid out."""
     widths = block_widths(spec.k, s, virs_radius(spec.n, spec.k, s))
-    rows, degrees = reduced_module(spec, r, (1,) * (s + 1))
-    return capped_span(rows, degrees, widths[0], widths)
+    module = reduced_module(spec, r, (1,) * (s + 1))
+    return capped_span(full_rows(module), module.degrees, widths[0], widths)
 
 
 @given(received_words())
@@ -125,7 +131,7 @@ def test_rate_one_code_has_no_parity_checks():
     r = encode(spec, UniPoly.from_ints(F, [1, 2, 3, 4, 5, 6]))
     rows = solution_module(spec, r, (1, 1))
     assert rows[-1] == [[1, 2, 3, 4, 5, 6], [1]]
-    assert weak_popov(rows, [0, 5], F) == [6, 5]
+    assert weak_popov(rows, [0, 5], F).degrees == [6, 5]
     out = virs_decode(spec, r, 1)
     assert out.success and out.kernel_dim == 1
 

@@ -33,10 +33,10 @@ from rsdec.bivariate import BiPoly, FactorError, extract_power_factor, hasse_mix
 from rsdec.code import interpolate_word, random_error
 from rsdec.gs import multiplicity_at
 from rsdec.mgs import block_widths, reduced_module
-from rsdec.outcome import capped_span, conclude, select_stack
+from rsdec.outcome import capped_span, conclude, lowest_locator, select_stack
 from rsdec.poly import locator_poly, pack, poly_divrem, slot_reduction
 from rsdec.wb import wb_build
-from test_keyeq import dense_virs, dense_wb
+from test_keyeq import dense_virs, dense_wb, full_rows
 from test_virs import _codewords_within
 
 F17 = Field(17)
@@ -50,15 +50,15 @@ def power_factor_poly(W, f, s):
 def full_span(spec, r, scalars, widths):
     """The module's elements within `widths` with every block laid out: the
     view of the dense kernels, where the decode lays out the top two."""
-    rows, degrees = reduced_module(spec, r, scalars)
-    return capped_span(rows, degrees, widths[0], widths)
+    module = reduced_module(spec, r, scalars)
+    return capped_span(full_rows(module), module.degrees, widths[0], widths)
 
 
 def canonical_stack(spec, kernel, widths):
-    """`select_stack`'s vector with every block reduced mod G = prod (x -
+    """`lowest_locator`'s vector with every block reduced mod G = prod (x -
     alpha_j): kernel vectors with a zero locator are G-multiples block by
     block, so this is the one vector of its class."""
-    return tuple(poly_divrem(p, spec.vanishing)[1] for p in select_stack(spec.field, kernel, widths))
+    return tuple(poly_divrem(p, spec.vanishing)[1] for p in lowest_locator(spec.field, kernel, widths))
 
 
 def mgs_interpolate(spec, r, s):
@@ -368,7 +368,7 @@ def dense_mgs(spec, r, s):
     tau = virs_radius(spec.n, spec.k, s)
     kernel = nullspace(build_Bbar(spec, r, s, tau).matrix)
     try:
-        Q = BiPoly(spec.field, select_stack(spec.field, kernel, block_widths(spec.k, s, tau)))
+        Q = BiPoly(spec.field, lowest_locator(spec.field, kernel, block_widths(spec.k, s, tau)))
     except FactorError as err:
         return DecodeOutcome.failure(str(err), len(kernel)), None
     try:
@@ -427,12 +427,12 @@ def test_select_stack_does_not_depend_on_the_basis(case, seed):
     mix = [[sum(lower[i][m] * upper[m][j] for m in range(d)) % q for j in range(d)] for i in range(d)]
     mixed = [[sum(c * v[col] for c, v in zip(row, basis)) % q for col in range(len(basis[0]))] for row in mix]
     try:
-        expect = select_stack(spec.field, basis, widths)
+        expect = lowest_locator(spec.field, basis, widths)
     except FactorError as err:
         with pytest.raises(FactorError, match=re.escape(str(err))):
-            select_stack(spec.field, mixed, widths)
+            lowest_locator(spec.field, mixed, widths)
         return
-    got = select_stack(spec.field, mixed, widths)
+    got = lowest_locator(spec.field, mixed, widths)
     G = locator_poly(spec.field, spec.locators)
     assert got[-1] == expect[-1] and got[-1].leading == 1
     assert [poly_divrem(p, G)[1] for p in got] == list(expect)
@@ -456,8 +456,8 @@ def test_wide_block_is_reduced_to_the_canonical_vector():
     detour[0] = [(a + g) % 17 for a, g in zip(detour[0], spec.vanishing.coeffs)]
     detour = [c for block in detour for c in block]
     assert not any(mulvec(build_Bbar(spec, r, 3, tau).matrix, detour))
-    assert select_stack(F, [detour], widths)[0].degree == 15
-    assert select_stack(F, [detour], widths)[-2:] == canonical[-2:]
+    assert lowest_locator(F, [detour], widths)[0].degree == 15
+    assert lowest_locator(F, [detour], widths)[-2:] == canonical[-2:]
     assert canonical_stack(spec, [detour], widths) == canonical
     _, Q = dense_mgs(spec, r, 3)
     assert mgs_interpolate(spec, r, 3) == Q
@@ -493,7 +493,7 @@ def test_split_module_element_is_a_power_progression_mod_G(q, n, k, s):
                 with mock.patch.object(rsdec.mgs, "extract_power_factor", wraps=extract_power_factor) as read:
                     rsdec.mgs.interpolation_decode(spec, r, tau, widths, scalars)
                 try:
-                    stack = select_stack(F, full_span(spec, r, scalars, widths), widths)
+                    stack = lowest_locator(F, full_span(spec, r, scalars, widths), widths)
                 except FactorError:
                     assert not read.called
                     continue
@@ -506,6 +506,81 @@ def test_split_module_element_is_a_power_progression_mod_G(q, n, k, s):
                 assert [poly_divrem(p, G)[1] for p in stack] == [poly_divrem(p, G)[1] for p in expect]
                 splits[i] += 1
     assert all(splits)
+
+
+def test_short_rows_select_what_the_full_span_selects(monkeypatch):
+    # the decode reads only the top two columns of the short rows (shifted
+    # degree below w_0) and takes the one short row with a nonzero locator
+    # as it is; the oracle lays every x^i b of every row out in full
+    # (`capped_span`) and reduces it (`lowest_locator`). Stack, failure
+    # reason and kernel_dim must agree on words with no short row, with
+    # short rows whose locators are all zero, with one nonzero locator and
+    # with several (the item-4 words among them), wide blocks included
+    picked = []
+
+    def recording(*args):
+        try:
+            picked.append(select_stack(*args))
+        except FactorError as err:
+            picked.append(str(err))
+            raise
+        return picked[-1]
+
+    monkeypatch.setattr(rsdec.mgs, "select_stack", recording)
+    seen = set()
+    for q, n, k, s in CODES:
+        F = Field(q)
+        spec = CodeSpec(F, n, k)
+        rng = random.Random(q * n + s)
+        for w in range(n + 1):
+            for _ in range(2):
+                f = UniPoly.from_ints(F, [rng.randrange(q) for _ in range(k)])
+                r = corrupt(encode(spec, f), random_error(spec, w, rng.randrange(2**32)))
+                for tau, widths, scalars in decoder_systems(spec, s):
+                    module = reduced_module(spec, r, scalars)
+                    rows, bound = full_rows(module), widths[0]
+                    kernel = capped_span(rows, module.degrees, bound, widths)
+                    try:
+                        expect = lowest_locator(F, kernel, widths)
+                    except FactorError as err:
+                        expect = str(err)
+                    picked.clear()
+                    out = rsdec.mgs.interpolation_decode(spec, r, tau, widths, scalars)
+                    assert out.kernel_dim == len(kernel)
+                    assert picked == [expect if isinstance(expect, str) else expect[-2:]]
+                    short = [(b, d) for b, d in zip(rows, module.degrees) if d < bound]
+                    if short and not isinstance(expect, str):
+                        # and on every block, where the decode reads two
+                        got = select_stack(F, [b for b, _ in short], [d for _, d in short], bound, widths)
+                        assert got == expect
+                    locators = sum(bool(b[-1]) for b, _ in short)
+                    seen.add(("no locator", "one locator", "several")[min(2, locators)] if short else "no short row")
+                    if n == 16 and s == 5 and len(short) > locators:
+                        seen.add(f"wide block, {min(2, locators)} locators")
+    assert seen == {
+        "no short row", "no locator", "one locator", "several",
+        "wide block, 0 locators", "wide block, 1 locators", "wide block, 2 locators",
+    }
+
+
+@pytest.mark.parametrize("q,n,k", [(257, 128, 8), (65521, 40, 4)])
+def test_conclude_reencodes_through_the_evaluation_table(q, n, k):
+    # the corrected word comes from the code's `Evaluator`, built by the
+    # first conclude whether or not it accepts; it must be encode's word,
+    # for the zero message, a full-degree one and random ones
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    rng = random.Random(q + n)
+    tau = wb_radius(n, k)
+    out = conclude(spec, Word.from_ints(F, [1] * n), 0, UniPoly.one(F), UniPoly.zero(F))
+    assert not out.success and "evaluator" in vars(spec)
+    messages = [UniPoly.zero(F), UniPoly.from_ints(F, [q - 1] * k)]
+    messages += [UniPoly.from_ints(F, [rng.randrange(q) for _ in range(degree + 1)]) for degree in range(k)]
+    for f in messages:
+        e = random_error(spec, rng.randrange(tau + 1), rng.randrange(2**32))
+        support = tuple(i for i, v in enumerate(e) if v)
+        out = conclude(spec, corrupt(encode(spec, f), e), tau, locator_poly(F, [spec.locators[i] for i in support]), f)
+        assert out.success and out.corrected == encode(spec, f) and out.error_positions == support
 
 
 def test_split_blocks_are_never_wider_than_n():
@@ -657,8 +732,9 @@ def test_packed_weak_popov_matches_the_list_reduction(q, n, k, s, weights):
             for scalars in ((1,) * (s + 1), scaling_map(s, F)):
                 rows = rsdec.mgs.solution_module(spec, r, scalars)
                 expect = [[list(p) for p in row] for row in rows]
-                assert rsdec.mgs.weak_popov(rows, shifts, F) == reference_weak_popov(expect, shifts, F)
-                assert rows == expect
+                module = rsdec.mgs.weak_popov(rows, shifts, F)
+                assert module.degrees == reference_weak_popov(expect, shifts, F)
+                assert full_rows(module) == expect
 
 
 def reduced_in_every_slot(q, values):
