@@ -42,16 +42,18 @@ class Mutant:
 
 
 POLY, LINALG, MGS, OUTCOME = "src/rsdec/poly.py", "src/rsdec/linalg.py", "src/rsdec/mgs.py", "src/rsdec/outcome.py"
-BIVARIATE = "src/rsdec/bivariate.py"
+BIVARIATE, CODE = "src/rsdec/bivariate.py", "src/rsdec/code.py"
 SLOTS = "tests/test_mgs.py::test_slot_reduction_is_exact_on_every_slot_value"
 RREF = "tests/test_linalg.py::test_packed_rref_matches_the_list_reduction"
 WEAK_POPOV = "tests/test_mgs.py::test_packed_weak_popov_matches_the_list_reduction"
-HORNER = "tests/test_code.py::test_positions_of_roots_matches_horner"
+HORNER = "tests/test_code.py::test_encode_matches_horner"
 DENSE = "tests/test_keyeq.py::test_decoders_match_the_dense_pipeline"
 CSV = "tests/test_montecarlo.py::test_reference_sweep_csv_is_pinned[1]"
 DIGEST = "tests/test_scripts.py::test_outcome_digest_is_pinned"
 KAPPA = "kappa = top + (q - 1).bit_length()"
 SHORT_ROWS = "tests/test_mgs.py::test_short_rows_select_what_the_full_span_selects"
+CONCLUDE = "tests/test_mgs.py::test_conclude_accepts_up_to_the_radius_and_no_further"
+REENCODE = "tests/test_mgs.py::test_conclude_reencodes_through_the_evaluation_table"
 
 # Each mutant's tests are a few fast ones that kill it, not every test
 # that would; a mutant that makes a reduction loop forever must name
@@ -103,17 +105,30 @@ MUTANTS = (
     Mutant("short-rows-up-to-the-bound", MGS, "if d < bound]", "if d <= bound]", (SHORT_ROWS, DIGEST)),
     Mutant("shortcut-skips-the-monic-scaling", OUTCOME, "[c * inv for c in p]", "list(p)", (SHORT_ROWS,)),
     Mutant("shortcut-with-several-locators", OUTCOME, "if len(tops) == 1:", "if tops:", (SHORT_ROWS, DIGEST)),
-    # the evaluation table, which `conclude` re-encodes f and finds the
-    # error positions with
+    # the evaluation table, k columns, which `encode` reads, and
+    # `conclude`'s one comparison of the codeword with r
     Mutant(
-        "evaluation-exponents-one-short", POLY, "for _ in range(n):\n            self.columns", "for _ in range(n - 1):\n            self.columns",
-        (f"{HORNER}[17-16-locators1]", f"{HORNER}[257-128-locators3]",
-         "tests/test_mgs.py::test_conclude_reencodes_through_the_evaluation_table[65521-40-4]"),
+        "evaluation-exponents-one-short", POLY,
+        "for _ in range(count):\n            self.columns", "for _ in range(count - 1):\n            self.columns",
+        (f"{HORNER}[2-1-locators0]", f"{HORNER}[17-8-locators2]", f"{REENCODE}[65521-40-4]"),
+    ),
+    Mutant(
+        "evaluation-slot-width-from-k-minus-1", POLY,
+        "(count * (q - 1) ** 2).bit_length()", "((count - 1) * (q - 1) ** 2).bit_length()",
+        ("tests/test_code.py::test_an_evaluation_slot_reaches_its_bound", f"{HORNER}[2-1-locators0]"),
+    ),
+    Mutant(
+        "encode-without-degree-check", CODE, "    if f.degree >= spec.k:\n", "    if False:\n",
+        ("tests/test_code.py::test_encode_rejects_large_degree",),
+    ),
+    Mutant(
+        "error-positions-where-equal", OUTCOME, "if a != b)", "if a == b)",
+        (CONCLUDE, f"{REENCODE}[257-128-8]", "tests/test_mgs.py::test_decode_worked_example"),
     ),
     # the north-star invariants
     Mutant(
-        "conclude-accepts-radius-plus-1", OUTCOME, "if distance > tau:", "if distance > tau + 1:",
-        ("tests/test_mgs.py::test_conclude_accepts_up_to_the_radius_and_no_further",),
+        "conclude-accepts-radius-plus-1", OUTCOME, "if len(errors) > tau:", "if len(errors) > tau + 1:",
+        (CONCLUDE,),
     ),
     # an error-free word has one short row with a locator, so its decode
     # never reaches `lowest_locator`; the weight-3 words of RS(7,2) s=3

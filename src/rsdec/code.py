@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .field import Field
-from .poly import Evaluator, Interpolator, UniPoly, locator_poly, poly_divrem
+from .poly import Evaluator, Interpolator, UniPoly, locator_poly
 from .rng import Stream
 
 
@@ -60,17 +60,9 @@ class CodeSpec:
 
     @cached_property
     def evaluator(self) -> Evaluator:
-        """Evaluation at the code locators, built on first use: by a code's
-        first `outcome.conclude`, accepted or not, never by `encode`."""
-        return Evaluator(self.field, self.locators)
-
-    def positions_of_roots(self, p: UniPoly) -> tuple[int, ...]:
-        """Indices i with p(locators[i]) = 0, read off one `evaluator`
-        lookup, the table `conclude` re-encodes with; p of degree n or more
-        is first reduced mod G, which vanishes on every locator."""
-        if p.degree >= self.n:
-            p = poly_divrem(p, self.vanishing)[1]
-        return tuple(i for i, v in enumerate(self.evaluator(p.coeffs)) if not v)
+        """Evaluation of messages (degree < k) at the code locators, built
+        by a code's first `encode`."""
+        return Evaluator(self.field, self.locators, self.k)
 
     def check_word(self, r: "Word") -> None:
         """Reject, at the decoders' edge, a word not of n symbols over this field."""
@@ -122,7 +114,7 @@ def encode(spec: CodeSpec, f: UniPoly) -> Word:
         raise ValueError("mixed fields")
     if f.degree >= spec.k:
         raise ValueError(f"message degree {f.degree} >= dimension {spec.k}")
-    return Word(spec.field, [f.evaluate(a) for a in spec.locators])
+    return Word(spec.field, spec.evaluator(f.coeffs))
 
 
 def power_word(r: Word, i: int) -> Word:

@@ -27,9 +27,9 @@ degrees give the kernel dimension, sum (w_0 - d_b), and
 wide. It picks the lowest-degree locator in their span
 (`outcome.select_stack`), splits Q^(s-1) = c_(s-1) Lambda f with
 `bivariate.extract_power_factor`, which says why the lower blocks need no
-check, and accepts through `outcome.conclude`, which re-encodes f and
-finds the error positions in the code's evaluation table
-(`CodeSpec.evaluator`).
+check, and accepts through `outcome.conclude`, which re-encodes f
+(`code.encode`) and reads the error positions off the symbols where the
+codeword differs from r.
 It is the package's only decode: mgs passes c = D(s), virs all ones
 (A's stacks) and wb D(1) on its own caps. The dense B-bar, GS's Hasse
 rows of orders (0, b) (`gs.hasse_rows`), serves `rsdec equiv`,

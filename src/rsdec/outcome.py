@@ -7,12 +7,13 @@ blocks only, pick the stack with the lowest-degree locator
 (`select_stack`, laying the span out flat with `capped_span` only when
 more than one short row has a nonzero locator), split it into
 (Lambda, f) with `bivariate.extract_power_factor`, and accept through
-`conclude`. The decoders differ only in their caps and in the block
-scalars c of the module's last generator and of a decodable stack
-Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for mgs and D(1) for
-wb. The selected stack depends on the space only, not on the basis it
-is given (`lowest_locator`): the locator is the unique monic top block
-of lowest degree.
+`conclude`, which re-encodes f and reads the error positions off the
+symbols where the codeword differs from r. The decoders differ only in
+their caps and in the block scalars c of the module's last generator and
+of a decodable stack Q^(t) = c_t Lambda f^(s-t): ones for virs, D(s) for
+mgs and D(1) for wb. The selected stack depends on the space only, not
+on the basis it is given (`lowest_locator`): the locator is the unique
+monic top block of lowest degree.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivariate import FactorError
-from .code import CodeSpec, Word
+from .code import CodeSpec, Word, encode
 from .field import Field
 from .poly import UniPoly, split_blocks
 
@@ -112,25 +113,19 @@ def conclude(
 ) -> DecodeOutcome:
     """Final acceptance gate shared by all decoders.
 
-    Given a candidate (locator, message) pair, deg f < k (as
-    `extract_power_factor` guarantees), accept only if the re-encoded
-    codeword lies within distance tau of the received word. A decoder
-    never reports a codeword farther than its radius. The codeword and
-    the error positions are both read off the code's evaluation table
-    (`CodeSpec.evaluator`), which the first call builds. `kernel_dim` is
-    passed through to the outcome.
+    Accept the candidate (locator, message) only if c = `encode(spec, f)`,
+    which raises unless deg f < k, lies within distance tau of r: no
+    decoder reports a codeword farther than its radius. The positions
+    where c differs from r are then exactly the roots of Lambda. Lambda
+    vanishes there (`extract_power_factor`), and their locator times the
+    stack c_t f^(s-t) lies in the span within the caps, so the
+    lowest-degree locator that `select_stack` picks has their count as its
+    degree. `kernel_dim` is passed through to the outcome.
     """
-    if f.degree >= spec.k:
-        raise ValueError(f"message degree {f.degree} >= dimension {spec.k}")
-    c = Word(spec.field, spec.evaluator(f.coeffs))
-    distance = sum(a != b for a, b in zip(r.symbols, c.symbols))
-    if distance > tau:
-        return DecodeOutcome.failure(f"corrected word at distance {distance} > radius {tau}", kernel_dim)
+    c = encode(spec, f)
+    errors = tuple(j for j, (a, b) in enumerate(zip(r.symbols, c.symbols)) if a != b)
+    if len(errors) > tau:
+        return DecodeOutcome.failure(f"corrected word at distance {len(errors)} > radius {tau}", kernel_dim)
     return DecodeOutcome(
-        success=True,
-        f=f,
-        locator=locator.monic(),
-        corrected=c,
-        error_positions=spec.positions_of_roots(locator),
-        kernel_dim=kernel_dim,
+        success=True, f=f, locator=locator.monic(), corrected=c, error_positions=errors, kernel_dim=kernel_dim
     )

@@ -8,7 +8,8 @@ every integer, so degree-bound checks need no special cases. The decode
 kernel and the dense elimination compute on `pack`ed ints, with a slot
 per coefficient or entry, and this module owns that format: `pack`,
 `unpack`, `slot_reduction`, which takes every slot mod q at once, and the
-two per-code tables on the code locators, `Interpolator` and `Evaluator`.
+two per-code tables on the code locators: `Interpolator`, n columns, and
+`Evaluator`, k columns, the one evaluation of a message (`code.encode`).
 """
 
 from __future__ import annotations
@@ -254,30 +255,32 @@ class Interpolator:
 
 
 class Evaluator:
-    """Evaluation at fixed points x_j, all of them at once.
+    """Evaluation at fixed points x_j, all of them at once, of polynomials
+    of degree below `count`.
 
-    Column C_e packs x_j^e in slot j, e < n, in slots of
-    bitlen(n (q-1)^2) bits, so sum_e p_e C_e holds p(x_j), unreduced, in
-    slot j for any p of degree < n: one big-int sum and one `unpack`.
-    The table is n^2 slots, like `Interpolator`'s: 49 KB at n = 128 over
-    GF(257).
+    Column C_e packs x_j^e in slot j, e < count, in slots of
+    bitlen(count (q-1)^2) bits, so sum_e p_e C_e holds p(x_j), unreduced,
+    in slot j: one big-int sum and one `unpack`. The table is count n
+    slots; the code's is k n (`CodeSpec.evaluator`), about 3 KB at
+    RS(128, 8) over GF(257).
     """
 
-    __slots__ = ("q", "width", "columns")
+    __slots__ = ("q", "width", "columns", "n")
 
-    def __init__(self, field: Field, xs: Sequence[int]):
-        q, n = field.q, len(xs)
-        self.q, self.width, self.columns = q, (n * (q - 1) ** 2).bit_length(), []
-        powers = [1] * n
-        for _ in range(n):
+    def __init__(self, field: Field, xs: Sequence[int], count: int):
+        q = field.q
+        self.q, self.n, self.width, self.columns = q, len(xs), (count * (q - 1) ** 2).bit_length(), []
+        powers = [1] * self.n
+        for _ in range(count):
             self.columns.append(pack(powers, self.width))
             powers = [p * x % q for p, x in zip(powers, xs)]
 
     def __call__(self, coeffs: Sequence[int]) -> list[int]:
-        """p(x_j) for every j, p given by at most n coefficients (a longer
-        list is cut short: reduce p mod prod (x - x_j) first)."""
+        """p(x_j) for every j, p given by at most `count` coefficients, a
+        precondition the caller checks (`code.encode`: deg f < k); a
+        longer list is cut short."""
         q = self.q
-        return [v % q for v in unpack(sum(map(mul, coeffs, self.columns)), self.width, len(self.columns))]
+        return [v % q for v in unpack(sum(map(mul, coeffs, self.columns)), self.width, self.n)]
 
 
 def locator_poly(field: Field, roots: Iterable[int]) -> UniPoly:

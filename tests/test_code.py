@@ -20,7 +20,6 @@ from rsdec import (
     wb_decode,
 )
 from rsdec.code import default_locators, interpolate_word, random_error
-from rsdec.poly import locator_poly
 
 F7 = Field(7)
 
@@ -171,23 +170,23 @@ def test_default_locators_need_enough_points():
 
 
 def test_interpolation_table_is_built_on_first_decode_once(monkeypatch):
-    # the benchmark's set-up (CodeSpec, encode, random_error, corrupt)
-    # stays cold; the first decode builds the code's tables, interpolation
-    # and evaluation, and every later decode, by any decoder, reuses them
+    # the code's first encode builds its evaluation table, k columns; the
+    # rest of the benchmark's set-up (CodeSpec, random_error, corrupt)
+    # stays cold. The first decode builds the interpolation table, and
+    # every later encode and decode, by any decoder, reuses both
     built = []
     for table in (rsdec.poly.Interpolator, rsdec.poly.Evaluator):
 
-        def recording(self, points, xs, table=table, original=table.__init__):
-            built.append((table.__name__, tuple(xs)))
-            original(self, points, xs)
+        def recording(self, *args, table=table, original=table.__init__):
+            built.append((table.__name__, tuple(args[1])))
+            original(self, *args)
 
         monkeypatch.setattr(table, "__init__", recording)
     spec = CodeSpec(Field(17), 16, 4)
-    words = [
-        corrupt(encode(spec, UniPoly.from_ints(spec.field, [seed, 1, 2, 3])), random_error(spec, 6, seed))
-        for seed in range(3)
-    ]
+    errors = [random_error(spec, 6, seed) for seed in range(3)]
     assert built == [] and "interpolator" not in vars(spec) and "evaluator" not in vars(spec)
+    words = [corrupt(encode(spec, UniPoly.from_ints(spec.field, [seed, 1, 2, 3])), e) for seed, e in enumerate(errors)]
+    assert built == [("Evaluator", spec.locators)] and len(spec.evaluator.columns) == spec.k
     for r in words:
         for out in (wb_decode(spec, r), virs_decode(spec, r, 2), mgs_decode(spec, r, 2)):
             assert out.success
@@ -208,30 +207,26 @@ def horner_roots(spec, p):
     (65521, 40, ()),
     (65521, 6, (65520, 1, 2, 65519, 3, 32768)),
 ])
-def test_positions_of_roots_matches_horner(q, n, locators):
-    # the zero polynomial, every degree below n, degrees n and above (reduced
-    # mod G first), and products of locators, which have roots to find
+def test_encode_matches_horner(q, n, locators):
+    # encode reads the code's evaluation table; Horner at each locator is
+    # the oracle, for the zero message and a random one of every degree
+    # below k, at the smallest, a middle and the largest dimension
     F = Field(q)
-    spec = CodeSpec(F, n, 1, locators)
     rng = random.Random(q * n)
-    polys = [UniPoly.zero(F)]
-    for degree in [*range(n), n, n + 1, 2 * n + 3]:
-        polys.append(UniPoly.from_ints(F, [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]))
-    for size in {1, n // 2, n}:
-        roots = locator_poly(F, rng.sample(spec.locators, size))
-        polys += [roots, roots * UniPoly.from_ints(F, [rng.randrange(q) for _ in range(n)] + [1])]
-    for p in polys:
-        assert spec.positions_of_roots(p) == horner_roots(spec, p)
-    assert spec.positions_of_roots(UniPoly.zero(F)) == tuple(range(n))
-    assert spec.positions_of_roots(spec.vanishing) == tuple(range(n))
+    for k in sorted({1, -(-n // 2), n}):
+        spec = CodeSpec(F, n, k, locators)
+        messages = [UniPoly.zero(F)]
+        for d in range(k):
+            messages.append(UniPoly.from_ints(F, [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]))
+        for f in messages:
+            assert encode(spec, f).to_ints() == [f.evaluate(a) for a in spec.locators]
 
 
 def test_an_evaluation_slot_reaches_its_bound():
-    # the table's slots hold sum_e p_e x^e below n (q-1)^2 + 1; over GF(2)
-    # with n = 1, p = 1 reaches n (q-1)^2 = 1, and its one locator is no root
+    # the table's slots hold sum_e f_e x^e below k (q-1)^2 + 1; over GF(2)
+    # with n = k = 1, f = 1 reaches k (q-1)^2 = 1
     F = Field(2)
     spec = CodeSpec(F, 1, 1)
-    p = UniPoly.one(F)
-    assert sum(c * spec.locators[0] ** e for e, c in enumerate(p.coeffs)) == spec.n * (F.q - 1) ** 2
-    assert spec.positions_of_roots(p) == horner_roots(spec, p) == ()
-    assert spec.positions_of_roots(UniPoly.from_ints(F, [1, 1])) == (0,)
+    f = UniPoly.one(F)
+    assert sum(c * spec.locators[0] ** e for e, c in enumerate(f.coeffs)) == spec.k * (F.q - 1) ** 2
+    assert encode(spec, f).to_ints() == [f.evaluate(spec.locators[0])] == [1]

@@ -36,6 +36,7 @@ from rsdec.mgs import block_widths, reduced_module
 from rsdec.outcome import capped_span, conclude, lowest_locator, select_stack
 from rsdec.poly import locator_poly, pack, poly_divrem, slot_reduction
 from rsdec.wb import wb_build
+from test_code import horner_roots
 from test_keyeq import dense_virs, dense_wb, full_rows
 from test_virs import _codewords_within
 
@@ -547,6 +548,11 @@ def test_short_rows_select_what_the_full_span_selects(monkeypatch):
                     picked.clear()
                     out = rsdec.mgs.interpolation_decode(spec, r, tau, widths, scalars)
                     assert out.kernel_dim == len(kernel)
+                    # the positions where the corrected word differs from r
+                    # are the locator's roots, as many as its degree
+                    if out.success:
+                        assert out.error_positions == horner_roots(spec, out.locator)
+                        assert len(out.error_positions) == out.locator.degree
                     assert picked == [expect if isinstance(expect, str) else expect[-2:]]
                     short = [(b, d) for b, d in zip(rows, module.degrees) if d < bound]
                     if short and not isinstance(expect, str):
@@ -565,9 +571,10 @@ def test_short_rows_select_what_the_full_span_selects(monkeypatch):
 
 @pytest.mark.parametrize("q,n,k", [(257, 128, 8), (65521, 40, 4)])
 def test_conclude_reencodes_through_the_evaluation_table(q, n, k):
-    # the corrected word comes from the code's `Evaluator`, built by the
-    # first conclude whether or not it accepts; it must be encode's word,
-    # for the zero message, a full-degree one and random ones
+    # conclude re-encodes through the code's `Evaluator` and builds it on a
+    # fresh code, whether or not it accepts; the corrected word must be f
+    # at every locator by Horner, for the zero message, a full-degree one
+    # and random ones
     F = Field(q)
     spec = CodeSpec(F, n, k)
     rng = random.Random(q + n)
@@ -580,7 +587,8 @@ def test_conclude_reencodes_through_the_evaluation_table(q, n, k):
         e = random_error(spec, rng.randrange(tau + 1), rng.randrange(2**32))
         support = tuple(i for i, v in enumerate(e) if v)
         out = conclude(spec, corrupt(encode(spec, f), e), tau, locator_poly(F, [spec.locators[i] for i in support]), f)
-        assert out.success and out.corrected == encode(spec, f) and out.error_positions == support
+        assert out.success and out.error_positions == support
+        assert out.corrected.to_ints() == [f.evaluate(a) for a in spec.locators]
 
 
 def test_split_blocks_are_never_wider_than_n():
