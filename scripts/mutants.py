@@ -45,6 +45,9 @@ POLY, LINALG, MGS, OUTCOME = "src/rsdec/poly.py", "src/rsdec/linalg.py", "src/rs
 BIVARIATE, CODE = "src/rsdec/bivariate.py", "src/rsdec/code.py"
 SLOTS = "tests/test_mgs.py::test_slot_reduction_is_exact_on_every_slot_value"
 RREF = "tests/test_linalg.py::test_packed_rref_matches_the_list_reduction"
+SLOT_SIZE = "tests/test_linalg.py::test_the_update_bound_picks_the_slot_size"
+CUT = "tests/test_linalg.py::test_cutting_the_passed_slots_keeps_the_basis"
+DENSE_LINALG = "tests/test_linalg.py::test_dense_systems_match_the_list_reduction"
 WEAK_POPOV = "tests/test_mgs.py::test_packed_weak_popov_matches_the_list_reduction"
 HORNER = "tests/test_code.py::test_encode_matches_horner"
 DENSE = "tests/test_keyeq.py::test_decoders_match_the_dense_pipeline"
@@ -70,15 +73,28 @@ MUTANTS = (
         "kappa-minus-2", POLY, KAPPA, KAPPA + " - 2",
         (f"{SLOTS}[7]", f"{SLOTS}[11]", f"{SLOTS}[23]", "tests/test_mgs.py::test_slot_reduction_is_exact_at_the_largest_field"),
     ),
-    # the dense elimination
+    # the dense elimination. The update bound only picks an item size, so
+    # one update fewer in it is nearly equivalent: it changes the item only
+    # where the bound lies just above 2^16 or 2^32. A fixed 16-bit slot
+    # replaces that mutant
     Mutant(
-        "rref-bound-one-update-fewer", LINALG,
-        "q - 1 + min(nrows, ncols) * (q - 1) ** 2", "q - 1 + (min(nrows, ncols) - 1) * (q - 1) ** 2",
-        (f"{RREF}[2]", f"{RREF}[257]"),
+        "dense-slot-fixed-16-bits", LINALG,
+        "code = next(c for c in _SLOT_CODES if largest >> 8 * array(c).itemsize == 0)", 'code = "H"',
+        (f"{RREF}[257]", f"{SLOT_SIZE}[257-64-8-2-20-32]", f"{SLOT_SIZE}[65521-40-4-3-20-64]"),
     ),
     Mutant(
-        "nullspace-reads-slot-j-plus-1", LINALG, "at = j * width", "at = (j + 1) * width",
-        ("tests/test_linalg.py::test_nullspace_vectors_annihilate", "tests/test_linalg.py::test_nullspace_spans_exactly_the_kernel"),
+        "free-column-read-from-the-next-slot", LINALG, "-tail[ncols - 1 - j] % q", "-tail[ncols - 2 - j] % q",
+        ("tests/test_linalg.py::test_nullspace_vectors_annihilate",
+         "tests/test_linalg.py::test_nullspace_spans_exactly_the_kernel"),
+    ),
+    Mutant(
+        "pivot-row-left-unnormalised", LINALG,
+        "work[r] = prow = _pack([v * inv % q for v in _slots(work[r], live, code)], code)", "prow = work[r]",
+        (f"{RREF}[5]", "tests/test_linalg.py::test_nullspace_spans_exactly_the_kernel", f"{DENSE_LINALG}[17-16-4-2-6]"),
+    ),
+    Mutant(
+        "cut-the-next-column-too", LINALG, "row & (1 << at) - 1 for", "row & (1 << at - width) - 1 for",
+        (f"{CUT}[1]", f"{DENSE_LINALG}[17-16-4-2-6]"),
     ),
     # the module, its reduction and its span
     Mutant(

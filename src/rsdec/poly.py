@@ -5,9 +5,10 @@ degree: the constructor reduces every int mod q and strips trailing
 zeros, so the highest-index entry is nonzero. The zero polynomial
 stores nothing and has degree NEG_INF, a sentinel that compares below
 every integer, so degree-bound checks need no special cases. The decode
-kernel and the dense elimination compute on `pack`ed ints, with a slot
-per coefficient or entry, and this module owns that format: `pack`,
-`unpack`, `slot_reduction`, which takes every slot mod q at once, and the
+kernel computes on `pack`ed ints, with a slot per coefficient, and this
+module owns that format: `pack`, `unpack`, `slot_reduction`, which takes
+every slot mod q at once (the dense elimination packs its own byte-aligned
+rows and reduces them exactly, in `linalg`), and the
 two per-code tables on the code locators: `Interpolator`, n columns, and
 `Evaluator`, k columns, the one evaluation of a message (`code.encode`).
 """
@@ -211,8 +212,8 @@ def slot_reduction(q: int, largest_slot_value: int):
     reduce(v, high) takes every W-bit slot of v mod q, `high` selecting
     bits kappa..W-1 of each. A slot v < 2^N, N = bitlen(largest_slot_value),
     has v // q = (v m) >> kappa, m = ceil(2^kappa / q) (Granlund and
-    Montgomery), and v m < 2^W spills into no other slot. Each caller
-    states its own bound: `mgs.weak_popov` and `linalg._eliminate`."""
+    Montgomery), and v m < 2^W spills into no other slot. The caller,
+    `mgs.weak_popov`, states its bound."""
     top = largest_slot_value.bit_length()
     kappa = top + (q - 1).bit_length()
     m = -(-(1 << kappa) // q)

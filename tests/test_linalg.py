@@ -1,3 +1,4 @@
+from array import array
 from itertools import product
 
 import pytest
@@ -6,12 +7,32 @@ from hypothesis import strategies as st
 
 import rsdec.linalg
 from rsdec import Field, nullspace
-from rsdec.linalg import Mat, _rref_ints
-from rsdec.poly import slot_reduction, unpack
+from rsdec.code import CodeSpec, corrupt, encode, random_error
+from rsdec.linalg import Mat, _slots
+from rsdec.mgs import build_Bbar
+from rsdec.poly import UniPoly
+from rsdec.virs import build_A, virs_radius
 from matvec import mulvec
 
 F5 = Field(5)
 F3 = Field(3)
+
+
+def _rref_ints(rows, q):
+    """(rref rows, pivot cols), rebuilt from `_eliminate`'s pivots and
+    `nullspace`'s canonical basis: the vector of free column j, its last
+    nonzero entry, holds -rref[i][j] at pivots[i]; rows past the rank are
+    zero."""
+    ncols = len(rows[0]) if rows else 0
+    pivots = rsdec.linalg._eliminate(rows, q)[1]
+    reduced = [[0] * ncols for _ in rows]
+    for row, pc in zip(reduced, pivots):
+        row[pc] = 1
+    for v in nullspace(Mat(Field(q), rows)):
+        j = max(i for i, x in enumerate(v) if x)
+        for row, pc in zip(reduced, pivots):
+            row[j] = -v[pc] % q
+    return reduced, pivots
 
 
 def rank(mat):
@@ -134,7 +155,7 @@ def test_mulvec():
 
 
 def reference_rref(rows, q):
-    """The list-based elimination that the packed `_rref_ints` replaced,
+    """The list-based elimination that the packed `_eliminate` replaced,
     kept as its oracle: the same pivots, each row update reduced mod q."""
     work = [list(r) for r in rows]
     nrows = len(work)
@@ -167,30 +188,54 @@ def reference_rref(rows, q):
     return work, pivots
 
 
+def reference_basis(rows, q):
+    """The canonical kernel basis read off `reference_rref`: for free
+    column j, 1 at j and -rref[r][j] at each pivot pivots[r]."""
+    reduced, pivots = reference_rref(rows, q)
+    free = [j for j in range(len(rows[0])) if j not in pivots]
+    basis = [[int(i == j) for i in range(len(rows[0]))] for j in free]
+    for v, j in zip(basis, free):
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][j] % q
+    return basis
+
+
+def dense_systems(q, n, k, s, w):
+    """A and Bbar at radius tau for a seeded word of weight w."""
+    F = Field(q)
+    spec = CodeSpec(F, n, k)
+    r = corrupt(encode(spec, UniPoly.from_ints(F, range(1, k + 1))), random_error(spec, w, 3))
+    tau = virs_radius(n, k, s)
+    return build_A(spec, r, s, tau), build_Bbar(spec, r, s, tau).matrix
+
+
+def every_slot(row, code):
+    """All slots of a packed row, lowest first."""
+    width = 8 * array(code).itemsize
+    return list(_slots(row, -(-row.bit_length() // width), code))
+
+
 def watch_slots(monkeypatch):
-    """Record every slot the elimination hands to its reduction, and every
-    slot of the rows it returns unreduced: between them each slot's
-    largest value, as slots only grow between reductions."""
+    """Record every slot of each row as it becomes a pivot row, before it
+    is reduced, and every slot of the rows `_eliminate` returns, with no
+    passed slot cut off: between them each slot's largest value, as slots
+    only grow between reductions."""
     seen = []
+    eliminate = rsdec.linalg._eliminate
 
-    def watched(q, largest):
-        width, kappa, reduce = slot_reduction(q, largest)
+    def reading(row, count, code):
+        seen.extend(every_slot(row, code))
+        return _slots(row, count, code)
 
-        def recording(v, high):
-            seen.extend(unpack(v, width))
-            return reduce(v, high)
+    def eliminating(rows, q):
+        out = eliminate(rows, q)
+        for row in out[0]:
+            seen.extend(every_slot(row, out[3]))
+        return out
 
-        return width, kappa, recording
-
-    def eliminate(rows, q):
-        work, pivots, width = original(rows, q)
-        for row in work:
-            seen.extend(unpack(row, width))
-        return work, pivots, width
-
-    original = rsdec.linalg._eliminate
-    monkeypatch.setattr(rsdec.linalg, "slot_reduction", watched)
-    monkeypatch.setattr(rsdec.linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(rsdec.linalg, "_CUT", 1 << 30)
+    monkeypatch.setattr(rsdec.linalg, "_slots", reading)
+    monkeypatch.setattr(rsdec.linalg, "_eliminate", eliminating)
     return seen
 
 
@@ -229,15 +274,7 @@ def test_packed_rref_matches_the_list_reduction(q, data):
     steps = min(len(rows), len(rows[0]) if rows else 0)
     assert max(seen, default=0) <= q - 1 + steps * (q - 1) ** 2
     if rows:
-        # nullspace reads the unreduced slots itself: the canonical basis
-        # of the reference RREF
-        reduced, pivots = expect
-        free = [j for j in range(len(rows[0])) if j not in pivots]
-        basis = [[int(i == j) for i in range(len(rows[0]))] for j in free]
-        for v, j in zip(basis, free):
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r][j] % q
-        assert nullspace(Mat(Field(q), rows)) == basis
+        assert nullspace(Mat(Field(q), rows)) == reference_basis(rows, q)
 
 
 @pytest.mark.parametrize("q,m", [(2, 6), (5, 7), (65521, 2)])
@@ -253,3 +290,35 @@ def test_a_slot_reaches_the_update_bound(monkeypatch, q, m):
     bound = q - 1 + min(len(rows), m + 1) * (q - 1) ** 2
     assert max(seen) == q - 1 + m * (q - 1) ** 2 + q - 1 <= bound
     assert (max(seen) == bound) == (q == 2)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+@given(data=st.data())
+def test_cutting_the_passed_slots_keeps_the_basis(cut, data):
+    q = data.draw(st.sampled_from((2, 257, 65521)))
+    rows = data.draw(shaped_rows(q))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rsdec.linalg, "_CUT", cut)
+        assert _rref_ints(rows, q) == reference_rref(rows, q)
+        if rows:
+            assert nullspace(Mat(Field(q), rows)) == reference_basis(rows, q)
+
+
+@pytest.mark.parametrize("q,n,k,s,w", [(17, 16, 4, 2, 6), (65521, 40, 4, 3, 20)])
+def test_dense_systems_match_the_list_reduction(q, n, k, s, w):
+    # 32 x 33 and 120 x 118: wider than a cut, and the latter in 64-bit slots
+    for mat in dense_systems(q, n, k, s, w):
+        assert nullspace(mat) == reference_basis(mat.rows, q)
+
+
+@pytest.mark.parametrize(
+    "q,n,k,s,w,bits", [(17, 16, 4, 2, 6, 16), (257, 64, 8, 2, 20, 32), (65521, 40, 4, 3, 20, 64)]
+)
+def test_the_update_bound_picks_the_slot_size(monkeypatch, q, n, k, s, w, bits):
+    rows = dense_systems(q, n, k, s, w)[0].rows
+    seen = watch_slots(monkeypatch)
+    code = rsdec.linalg._eliminate(rows, q)[3]
+    bound = q - 1 + min(len(rows), len(rows[0])) * (q - 1) ** 2
+    assert 8 * array(code).itemsize == bits
+    assert max(seen) <= bound < 1 << bits
+    assert bound >> bits // 2  # a slot half as wide would not hold it
